@@ -1,6 +1,6 @@
 //! Fleet resilience sweep: replica count × dispatch policy × kill
-//! schedule for the `sf-serve` replica fleet under the seeded fleet
-//! chaos harness. Prints the table recorded in `results/bench.txt`.
+//! schedule for the `sf-serve` replica fleet under the seeded
+//! chaos engine. Prints the table recorded in `results/bench.txt`.
 
 fn main() {
     let scale = sf_bench::scale_from_args();

@@ -3,29 +3,37 @@
 //! The serving experiment measures how fast the batcher goes when
 //! everything works; this one measures what the stack *guarantees* when
 //! things break. Every grid cell runs one seeded [`sf_chaos`] schedule —
-//! depth-sensor corruption at the swept fault rate, a batch slowdown, a
-//! stale-request burst and a queue-full storm — against a live server and
-//! records where every request terminated, how often the depth-branch
-//! circuit breaker tripped, and whether the run is bit-reproducible
-//! (each cell executes twice and compares fault-schedule fingerprints).
+//! a healthy warm-up, a dead-depth burst sized by the swept fault rate, a
+//! batch slowdown, a panic burst, a stale-request burst and a queue flood
+//! — against a fleet of one and records where every request terminated,
+//! how often the faulty source's circuit breaker tripped, and whether the
+//! run is bit-reproducible (each cell executes twice and compares
+//! fingerprints).
 //!
 //! The headline claims this table backs:
-//! - **conservation** — in every cell, submitted = completed + rejected +
-//!   expired + failed (the harness fails the run otherwise, so a rendered
-//!   table is itself the proof);
+//! - **conservation** — in every cell, at every scene boundary,
+//!   submitted = completed + rejected + expired + failed + redirected
+//!   (the engine fails the run otherwise, so a rendered table is itself
+//!   the proof);
 //! - **determinism** — cells with a deterministic deadline (none, or far
 //!   above the injected slowdown) replay to identical fingerprints;
 //! - **breaker sensitivity** — the trip threshold separates fault rates:
-//!   a strict breaker (0.25) trips on mixed traffic a lax one (0.75)
-//!   rides through.
+//!   a strict breaker (0.25) trips on a window of mixed observations a
+//!   lax one (0.75) rides through.
 
 use std::time::Duration;
 
-use sf_chaos::{ChaosConfig, ChaosError, ChaosReport, Scene};
+use sf_chaos::{Report, Scenario, Scene};
 use sf_core::BreakerConfig;
-use sf_dataset::SensorFault;
 
+use crate::experiments::run_cell;
 use crate::{ExperimentScale, TextTable};
+
+/// Healthy frames served before the fault burst: four per rotating
+/// source, so the faulty source's breaker window already holds healthy
+/// observations when the dead frames land — only a mixed window lets the
+/// trip threshold matter.
+const WARMUP: usize = 32;
 
 /// Injected per-batch delay during the slowdown scene, milliseconds.
 /// Deadlines below this expire the slowed requests; deadlines above it
@@ -41,8 +49,8 @@ pub struct ChaosCell {
     pub deadline_ms: u64,
     /// Breaker trip threshold (quarantine rate, strictly above trips).
     pub threshold: f32,
-    /// The first run's full report (tally, breaker log, pool delta).
-    pub report: ChaosReport,
+    /// The first run's full report (ledger, checkpoints, breaker log).
+    pub report: Report,
     /// Whether a second run of the identical config produced the same
     /// fault-schedule fingerprint.
     pub reproducible: bool,
@@ -73,14 +81,6 @@ impl ChaosSweepResult {
     pub fn reproducible_cells(&self) -> usize {
         self.cells.iter().filter(|c| c.reproducible).count()
     }
-
-    /// Cells whose deadline cannot race the injected slowdown: none, or
-    /// comfortably above `SLOWDOWN_MS`. These must all be reproducible.
-    pub fn deterministic_cells(&self) -> impl Iterator<Item = &ChaosCell> {
-        self.cells
-            .iter()
-            .filter(|c| c.deadline_ms == 0 || c.deadline_ms >= 1_000)
-    }
 }
 
 /// Sweep grid for a scale: (fault rates, deadlines ms, thresholds,
@@ -100,34 +100,33 @@ fn grid(scale: ExperimentScale) -> (Vec<f64>, Vec<u64>, Vec<f32>, usize) {
     }
 }
 
-/// The fault schedule for one cell: corrupt traffic at `fault_rate`,
-/// then calm recovery traffic, then a slowdown, a panic storm, a stale
-/// burst and a queue-full storm so every failure mode appears in every
-/// cell.
+/// The fault schedule for one cell: a healthy warm-up, a dead-depth
+/// burst of `fault_rate` of the `requests`, calm recovery traffic for the
+/// rest, then a slowdown, a panic burst, a stale burst and a queue flood
+/// so every failure mode appears in every cell.
 fn schedule(fault_rate: f64, requests: usize, scale: ExperimentScale) -> Vec<Scene> {
     let corrupt = ((requests as f64) * fault_rate).round() as usize;
     let calm = requests - corrupt;
-    let (slow, panic, stale, storm) = match scale {
-        ExperimentScale::Full => (2, 2, 2, 2),
-        ExperimentScale::Quick => (1, 1, 1, 1),
+    let each = match scale {
+        ExperimentScale::Full => 2,
+        ExperimentScale::Quick => 1,
     };
-    let mut scenes = Vec::new();
+    let mut scenes = vec![Scene::Calm(WARMUP)];
     if corrupt > 0 {
-        scenes.push(Scene::Corrupt {
-            requests: corrupt,
-            fault: SensorFault::DepthDropout { p: 1.0 },
-        });
+        scenes.push(Scene::Corrupt(corrupt));
     }
     if calm > 0 {
-        scenes.push(Scene::Calm { requests: calm });
+        scenes.push(Scene::Calm(calm));
     }
-    scenes.push(Scene::Slowdown {
-        requests: slow,
-        sleep_ms: SLOWDOWN_MS,
-    });
-    scenes.push(Scene::PanicStorm { requests: panic });
-    scenes.push(Scene::Stale { requests: stale });
-    scenes.push(Scene::QueueStorm { excess: storm });
+    scenes.extend([
+        Scene::Slow {
+            frames: each,
+            sleep_ms: SLOWDOWN_MS,
+        },
+        Scene::Panic(each),
+        Scene::Stale(each),
+        Scene::Flood(each),
+    ]);
     scenes
 }
 
@@ -141,55 +140,31 @@ fn breaker(threshold: f32) -> BreakerConfig {
         .with_cooldown(4)
 }
 
-/// Runs one grid cell twice and compares fingerprints.
-///
-/// # Errors
-///
-/// Returns the harness error if either run loses a request, mismatches
-/// the server's own tally or breaks conservation — an experiment-ending
-/// finding, not a data point.
-fn measure_cell(
-    fault_rate: f64,
-    deadline_ms: u64,
-    threshold: f32,
-    requests: usize,
-    scale: ExperimentScale,
-) -> Result<ChaosCell, ChaosError> {
-    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    let config = ChaosConfig::default()
-        .with_seed(0xC4A05 ^ ((deadline_ms + 1) << 20) ^ ((threshold * 100.0) as u64))
-        .with_scenes(schedule(fault_rate, requests, scale))
-        .with_default_deadline(deadline)
-        .with_breaker(Some(breaker(threshold)));
-    let first = sf_chaos::run(&config)?;
-    let second = sf_chaos::run(&config)?;
-    let reproducible = first.fingerprint() == second.fingerprint();
-    Ok(ChaosCell {
-        fault_rate,
-        deadline_ms,
-        threshold,
-        report: first,
-        reproducible,
-    })
-}
-
-/// Runs the sweep. Panics if any cell violates the harness invariants
-/// (lost request, tally mismatch, non-conservation, stalled pool) —
-/// those are correctness failures, not measurements.
+/// Runs the sweep. Panics if any cell violates an engine invariant (see
+/// [`run_cell`]).
 pub fn run(scale: ExperimentScale) -> ChaosSweepResult {
     let (fault_rates, deadlines_ms, thresholds, requests) = grid(scale);
     let mut cells = Vec::new();
     for &fault_rate in &fault_rates {
         for &deadline_ms in &deadlines_ms {
             for &threshold in &thresholds {
-                let cell = measure_cell(fault_rate, deadline_ms, threshold, requests, scale)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "chaos cell (rate {fault_rate}, deadline {deadline_ms} ms, \
-                             threshold {threshold}) violated a resilience invariant: {e}"
-                        )
-                    });
-                cells.push(cell);
+                let scenario = Scenario::chaos(1, false)
+                    .with_seed(0xC4A05 ^ ((deadline_ms + 1) << 20) ^ ((threshold * 100.0) as u64))
+                    .with_scenes(schedule(fault_rate, requests, scale))
+                    .with_deadline((deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)))
+                    .with_breaker(Some(breaker(threshold)));
+                let label = format!(
+                    "chaos cell (rate {fault_rate}, deadline {deadline_ms} ms, \
+                     threshold {threshold})"
+                );
+                let (report, reproducible) = run_cell(&label, &scenario);
+                cells.push(ChaosCell {
+                    fault_rate,
+                    deadline_ms,
+                    threshold,
+                    report,
+                    reproducible,
+                });
             }
         }
     }
@@ -208,7 +183,8 @@ pub fn render(result: &ChaosSweepResult) -> String {
         "final", "repro",
     ]);
     for cell in &result.cells {
-        let t = &cell.report.tally;
+        let t = cell.report.ledger();
+        let breaker = &cell.report.stats.replicas[0];
         table.add_row(vec![
             format!("{:.0}%", cell.fault_rate * 100.0),
             if cell.deadline_ms == 0 {
@@ -221,10 +197,10 @@ pub fn render(result: &ChaosSweepResult) -> String {
             t.expired.to_string(),
             t.failed.to_string(),
             t.rejected.to_string(),
-            cell.report.quarantined.to_string(),
-            cell.report.breaker_trips.to_string(),
-            cell.report
-                .breaker_final
+            cell.report.quarantined().to_string(),
+            breaker.breaker_trips.to_string(),
+            breaker
+                .breaker_state
                 .map_or_else(|| "-".to_string(), |s| s.to_string()),
             if cell.reproducible { "yes" } else { "VARIED" }.to_string(),
         ]);
@@ -232,8 +208,8 @@ pub fn render(result: &ChaosSweepResult) -> String {
     let mut out = String::from("Chaos resilience — fault rate x deadline x breaker threshold\n");
     out.push_str(&table.render());
     out.push_str(&format!(
-        "conservation : submitted = completed + shed + expired + failed held in all \
-         {} cells (the harness fails otherwise)\n",
+        "conservation : submitted = completed + shed + expired + failed + redirected held \
+         at every scene boundary of all {} cells (the engine fails otherwise)\n",
         result.cells.len()
     ));
     out.push_str(&format!(
@@ -252,13 +228,15 @@ mod tests {
     #[test]
     fn schedule_partitions_traffic_by_fault_rate() {
         let scenes = schedule(0.25, 16, ExperimentScale::Full);
-        assert!(matches!(scenes[0], Scene::Corrupt { requests: 4, .. }));
-        assert!(matches!(scenes[1], Scene::Calm { requests: 12 }));
+        assert_eq!(
+            scenes[..3],
+            [Scene::Calm(WARMUP), Scene::Corrupt(4), Scene::Calm(12)]
+        );
         // Rate 0 drops the corrupt scene entirely instead of emitting a
-        // zero-request scene the config validator would reject.
+        // zero-frame scene the scenario validator would reject.
         let clean = schedule(0.0, 16, ExperimentScale::Full);
-        assert!(matches!(clean[0], Scene::Calm { requests: 16 }));
-        assert!(clean.iter().all(|s| !matches!(s, Scene::Corrupt { .. })));
+        assert_eq!(clean[..2], [Scene::Calm(WARMUP), Scene::Calm(16)]);
+        assert!(clean.iter().all(|s| !matches!(s, Scene::Corrupt(_))));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fleet resilience sweep — replica count × dispatch policy × kill
 //! schedule for the `sf-serve` replica fleet under the seeded
-//! `sf-chaos` fleet harness.
+//! `sf-chaos` engine.
 //!
 //! Each grid cell drives a live [`Fleet`](sf_serve::Fleet) through one
 //! deterministic scene schedule (twice, comparing fingerprints) and
@@ -13,8 +13,8 @@
 //! The headline claims this table backs:
 //! - **fleet conservation** — in every cell, submitted legs = completed +
 //!   rejected + expired + failed + redirected, and the router's counters
-//!   reconcile with the per-replica servers (the harness fails the run
-//!   otherwise);
+//!   reconcile with the per-replica servers, at every scene boundary (the
+//!   engine fails the run otherwise);
 //! - **zero deploy casualties** — no leg terminally fails in any cell,
 //!   including the ones that hot-swap the model mid-storm;
 //! - **determinism** — every cell replays to a bit-identical fleet
@@ -22,9 +22,10 @@
 //! - **shadow fidelity** — shadow deploys of a bit-identical candidate
 //!   diff exactly 0.0 and promote.
 
-use sf_chaos::{parse_fleet_scenes, FleetChaosConfig, FleetChaosError, FleetChaosReport};
+use sf_chaos::{parse_scenes, Report, Scenario};
 use sf_serve::DispatchPolicy;
 
+use crate::experiments::run_cell;
 use crate::{ExperimentScale, TextTable};
 
 /// The fault schedule swept along the third grid axis.
@@ -89,7 +90,7 @@ pub struct FleetCell {
     /// Fault schedule driven through the fleet.
     pub schedule: KillSchedule,
     /// The first run's full report (fleet ledger, kills, revives).
-    pub report: FleetChaosReport,
+    pub report: Report,
     /// Whether a second run of the identical config produced the same
     /// fleet-ledger fingerprint.
     pub reproducible: bool,
@@ -151,43 +152,27 @@ fn grid(scale: ExperimentScale) -> (Vec<usize>, Vec<DispatchPolicy>, Vec<KillSch
     }
 }
 
-/// Runs one grid cell twice and compares fleet-ledger fingerprints.
-///
-/// # Errors
-///
-/// Returns the harness error if either run breaks fleet conservation,
-/// the router-vs-replica cross-check, or the zero-deploy-casualty
-/// promise — an experiment-ending finding, not a data point.
-fn measure_cell(
+/// One cell's scenario: the chaos recipe's fleet and replica shape with
+/// the swept replica count, dispatch policy and kill schedule.
+fn cell_scenario(
     replicas: usize,
     dispatch: DispatchPolicy,
     schedule: KillSchedule,
     scale: ExperimentScale,
-) -> Result<FleetCell, FleetChaosError> {
+) -> Scenario {
     let seed = 0xF1EE_0B5E
         ^ ((replicas as u64) << 16)
         ^ (u64::from(dispatch == DispatchPolicy::LeastOutstanding) << 8)
         ^ schedule.label().len() as u64;
-    let config = FleetChaosConfig::default()
+    Scenario::chaos(replicas, false)
         .with_seed(seed)
-        .with_replicas(replicas)
         .with_dispatch(dispatch)
-        .with_scenes(parse_fleet_scenes(schedule.scenes(scale)).expect("sweep scene spec parses"));
-    let first = sf_chaos::run_fleet(&config)?;
-    let second = sf_chaos::run_fleet(&config)?;
-    let reproducible = first.fingerprint() == second.fingerprint();
-    Ok(FleetCell {
-        replicas,
-        dispatch,
-        schedule,
-        report: first,
-        reproducible,
-    })
+        .with_scenes(parse_scenes(schedule.scenes(scale)).expect("sweep scene spec parses"))
 }
 
-/// Runs the sweep. Panics if any cell violates a fleet invariant (lost
-/// leg, reconciliation mismatch, deploy casualty, nonzero shadow diff)
-/// — those are correctness failures, not measurements.
+/// Runs the sweep. Panics if any cell violates an engine invariant (see
+/// [`run_cell`]): a lost leg, a reconciliation mismatch, a deploy
+/// casualty or a nonzero shadow diff.
 pub fn run(scale: ExperimentScale) -> FleetSweepResult {
     let (replica_counts, dispatches, schedules) = grid(scale);
     let mut cells = Vec::new();
@@ -197,15 +182,20 @@ pub fn run(scale: ExperimentScale) -> FleetSweepResult {
                 if schedule.kills() && replicas < 2 {
                     continue;
                 }
-                let cell = measure_cell(replicas, dispatch, schedule, scale).unwrap_or_else(|e| {
-                    panic!(
-                        "fleet cell ({replicas} replicas, {} dispatch, {} schedule) \
-                         violated a fleet invariant: {e}",
-                        dispatch.label(),
-                        schedule.label()
-                    )
+                let label = format!(
+                    "fleet cell ({replicas} replicas, {} dispatch, {} schedule)",
+                    dispatch.label(),
+                    schedule.label()
+                );
+                let scenario = cell_scenario(replicas, dispatch, schedule, scale);
+                let (report, reproducible) = run_cell(&label, &scenario);
+                cells.push(FleetCell {
+                    replicas,
+                    dispatch,
+                    schedule,
+                    report,
+                    reproducible,
                 });
-                cells.push(cell);
             }
         }
     }
@@ -249,8 +239,8 @@ pub fn render(result: &FleetSweepResult) -> String {
     out.push_str(&table.render());
     out.push_str(&format!(
         "conservation : submitted legs = completed + rejected + expired + failed \
-         + redirected held in all {} cells, router/replica reconciled (the harness \
-         fails otherwise)\n",
+         + redirected held at every scene boundary of all {} cells, router/replica \
+         reconciled (the engine fails otherwise)\n",
         result.cells.len()
     ));
     let deploy_cells = result.deploy_cells().count();
@@ -281,13 +271,8 @@ mod tests {
                         if schedule.kills() && replicas < 2 {
                             continue;
                         }
-                        let config = FleetChaosConfig::default()
-                            .with_replicas(replicas)
-                            .with_dispatch(dispatch)
-                            .with_scenes(
-                                parse_fleet_scenes(schedule.scenes(scale)).expect("spec parses"),
-                            );
-                        config.validate().unwrap_or_else(|e| {
+                        let scenario = cell_scenario(replicas, dispatch, schedule, scale);
+                        scenario.validate().unwrap_or_else(|e| {
                             panic!(
                                 "sweep cell ({replicas}, {}, {}) invalid: {e}",
                                 dispatch.label(),

@@ -16,11 +16,28 @@ pub mod sne;
 pub mod soak;
 pub mod table1;
 
+use sf_chaos::{Report, Scenario};
 use sf_core::{evaluate, train, EvalOptions, FusionNet, FusionScheme, TrainReport};
 use sf_dataset::{RoadDataset, SegmentationEval};
 use sf_scene::RoadCategory;
 
 use crate::ExperimentScale;
+
+/// The cell-runner the chaos, fleet and soak sweeps share: runs `scenario`
+/// twice through the one chaos engine and returns the first report plus
+/// whether the second run replayed to the identical fingerprint.
+///
+/// # Panics
+///
+/// Panics, naming `cell`, if either run breaks an engine invariant (lost
+/// request, non-conservation, reconciliation mismatch, scene contract,
+/// arena growth, breaker off schedule) — those are correctness failures,
+/// not measurements.
+pub fn run_cell(cell: &str, scenario: &Scenario) -> (Report, bool) {
+    let (report, diverged) = sf_chaos::run_twice(scenario)
+        .unwrap_or_else(|e| panic!("{cell} violated a chaos-engine invariant: {e}"));
+    (report, diverged.is_none())
+}
 
 /// Everything an experiment needs: dataset, camera and recipes.
 #[derive(Debug)]

@@ -159,15 +159,9 @@ fn measure_cell(
 
 /// Deterministic synthetic frame pairs for one client.
 fn probe_frames(config: &sf_core::NetworkConfig, count: usize, seed: u64) -> Vec<(Tensor, Tensor)> {
-    let (h, w, dc) = (config.height, config.width, config.depth_channels);
     let mut rng = TensorRng::seed_from(seed);
     (0..count)
-        .map(|_| {
-            (
-                rng.uniform(&[3, h, w], 0.0, 1.0),
-                rng.uniform(&[dc, h, w], 0.1, 1.0),
-            )
-        })
+        .map(|_| sf_chaos::frame(&mut rng, config))
         .collect()
 }
 

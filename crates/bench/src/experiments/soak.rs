@@ -2,23 +2,26 @@
 //!
 //! The chaos experiment stresses the server with request-level fault
 //! schedules; this one stresses the whole *scenario* pipeline: every
-//! cell drives a closed-loop [`sf_chaos::run_soak`] stream (rendered
-//! weather, occluder traffic, a multi-LiDAR rig, a mid-run dead-sensor
-//! burst) against a replica fleet, twice, and records the ledger plus
-//! whether the two runs fingerprint identically.
+//! cell drives the [`sf_chaos`] engine on rig traffic (rendered weather,
+//! occluder traffic, a multi-LiDAR rig, a mid-run dead-sensor burst)
+//! against a replica fleet, twice, and records the ledger plus whether
+//! the two runs fingerprint identically.
 //!
 //! The headline claims this table backs:
 //! - **conservation under weather** — every window of every cell
 //!   reconciles `submitted = completed + rejected + expired + failed +
-//!   redirected` (the harness fails the cell otherwise);
+//!   redirected` (the engine fails the cell otherwise);
+//! - **bounded memory** — every cell's scratch arenas reach their final
+//!   high-water mark in the first window;
 //! - **breaker isolation** — the burst source trips and recovers in
 //!   every cell while the clean sources never trip, independent of
 //!   weather severity or rig size;
 //! - **determinism** — every cell replays to an identical fingerprint.
 
-use sf_chaos::{SoakConfig, SoakError, SoakReport};
+use sf_chaos::{Report, Scenario, Traffic, WeatherFront};
 use sf_scene::{Rig, Weather};
 
+use crate::experiments::run_cell;
 use crate::{ExperimentScale, TextTable};
 
 /// One (weather, rig) soak measurement.
@@ -29,7 +32,7 @@ pub struct SoakCell {
     /// Number of rig mounts (independent LiDAR sources).
     pub rig_size: usize,
     /// The first run's full report.
-    pub report: SoakReport,
+    pub report: Report,
     /// Whether the second run produced the identical fingerprint.
     pub reproducible: bool,
 }
@@ -74,62 +77,41 @@ fn grid(scale: ExperimentScale) -> (Vec<Weather>, Vec<Rig>, u64, u64) {
 
 /// Builds one cell's scenario: the smoke soak reshaped to the sweep's
 /// frame budget, pinned to one weather and one rig. The dead-sensor
-/// burst on source 1 stays so every cell also exercises the breaker.
-fn cell_config(weather: Weather, rig: &Rig, frames: u64, window: u64) -> SoakConfig {
-    let mut config = SoakConfig::smoke()
+/// bursts on source 1 stay so every cell also exercises the breaker, and
+/// four windows per cell means every cell asserts the scratch plateau.
+fn cell_scenario(weather: Weather, rig: &Rig, frames: u64, window: u64) -> Scenario {
+    let mut scenario = Scenario::soak(true)
         .with_seed(0x50A4 ^ (rig.len() as u64) << 16 ^ (weather.to_string().len() as u64))
-        .with_rig(rig.clone().with_resolution(12, 48))
-        .with_constant_weather(weather);
-    config.frames = frames;
-    config.window = window;
-    // The global scratch counter is process-wide and monotone; with many
-    // cells sharing this process a later cell would inherit an earlier
-    // cell's peak, so the plateau probe is only meaningful in the CLI's
-    // single-scenario run (`roadseg soak`), not here.
-    config.check_memory = false;
-    config
+        .with_windows(frames, window);
+    if let Traffic::Rig {
+        rig: mounts,
+        fronts,
+        ..
+    } = &mut scenario.traffic
+    {
+        *mounts = rig.clone().with_resolution(12, 48);
+        *fronts = vec![WeatherFront { frame: 0, weather }];
+    }
+    scenario
 }
 
-/// Runs one grid cell twice and compares fingerprints.
-///
-/// # Errors
-///
-/// Returns the harness error if either run breaks a window invariant —
-/// an experiment-ending finding, not a data point.
-fn measure_cell(
-    weather: Weather,
-    rig: &Rig,
-    frames: u64,
-    window: u64,
-) -> Result<SoakCell, SoakError> {
-    let config = cell_config(weather, rig, frames, window);
-    let first = sf_chaos::run_soak(&config)?;
-    let second = sf_chaos::run_soak(&config)?;
-    let reproducible = first.fingerprint() == second.fingerprint();
-    Ok(SoakCell {
-        weather,
-        rig_size: rig.len(),
-        report: first,
-        reproducible,
-    })
-}
-
-/// Runs the sweep. Panics if any cell violates a soak invariant (lost
-/// request, window non-conservation, breaker off schedule) — those are
-/// correctness failures, not measurements.
+/// Runs the sweep. Panics if any cell violates an engine invariant (see
+/// [`run_cell`]): a lost request, window non-conservation, arena growth
+/// or a breaker off schedule.
 pub fn run(scale: ExperimentScale) -> SoakSweepResult {
     let (weathers, rigs, frames, window) = grid(scale);
     let mut cells = Vec::new();
     for &weather in &weathers {
         for rig in &rigs {
-            let cell = measure_cell(weather, rig, frames, window).unwrap_or_else(|e| {
-                panic!(
-                    "soak cell (weather {weather}, {} mounts) violated a scenario \
-                     invariant: {e}",
-                    rig.len()
-                )
+            let label = format!("soak cell (weather {weather}, {} mounts)", rig.len());
+            let scenario = cell_scenario(weather, rig, frames, window);
+            let (report, reproducible) = run_cell(&label, &scenario);
+            cells.push(SoakCell {
+                weather,
+                rig_size: rig.len(),
+                report,
+                reproducible,
             });
-            cells.push(cell);
         }
     }
     SoakSweepResult { cells, frames }
@@ -138,7 +120,8 @@ pub fn run(scale: ExperimentScale) -> SoakSweepResult {
 /// Renders the sweep as one row per cell plus the invariant summary.
 pub fn render(result: &SoakSweepResult) -> String {
     let mut table = TextTable::new(vec![
-        "weather", "rig", "frames", "done", "rejected", "failed", "trips@1", "windows", "repro",
+        "weather", "rig", "frames", "done", "rejected", "failed", "trips@1", "windows", "peak KiB",
+        "plateau", "repro",
     ]);
     for cell in &result.cells {
         let s = &cell.report.stats;
@@ -155,7 +138,15 @@ pub fn render(result: &SoakSweepResult) -> String {
                 .copied()
                 .unwrap_or(0)
                 .to_string(),
-            cell.report.windows.len().to_string(),
+            cell.report.checkpoints.len().to_string(),
+            (cell
+                .report
+                .checkpoints
+                .last()
+                .map_or(0, |c| c.scratch_peak_bytes)
+                / 1024)
+                .to_string(),
+            format!("window {}", cell.report.plateau + 1),
             if cell.reproducible { "yes" } else { "VARIED" }.to_string(),
         ]);
     }
@@ -163,12 +154,16 @@ pub fn render(result: &SoakSweepResult) -> String {
     out.push_str(&table.render());
     out.push_str(&format!(
         "conservation : every window of all {} cells reconciled submitted = completed \
-         + rejected + expired + failed + redirected (the harness fails otherwise)\n",
+         + rejected + expired + failed + redirected (the engine fails otherwise)\n",
         result.cells.len()
     ));
     out.push_str(
         "breakers     : source 1's dead-sensor burst tripped and re-closed in every \
          cell; clean sources never tripped\n",
+    );
+    out.push_str(
+        "memory       : every cell's scratch peak (replica executors + driver thread) \
+         plateaued within its first window (asserted in-process, every cell)\n",
     );
     out.push_str(&format!(
         "reproducible : {}/{} cells replayed to identical fingerprints\n",
@@ -188,7 +183,7 @@ mod tests {
             let (weathers, rigs, frames, window) = grid(scale);
             for &weather in &weathers {
                 for rig in &rigs {
-                    cell_config(weather, rig, frames, window)
+                    cell_scenario(weather, rig, frames, window)
                         .validate()
                         .expect("sweep cell scenario valid");
                 }
@@ -205,6 +200,7 @@ mod tests {
             let s = &cell.report.stats;
             assert_eq!(s.completed, result.frames * cell.rig_size as u64);
             assert!(cell.report.source_trips[&1] > 0, "burst source must trip");
+            assert_eq!(cell.report.plateau, 0, "plateau is asserted in every cell");
         }
         let text = render(&result);
         assert!(text.contains("fog:0.7"), "{text}");

@@ -1,153 +1,168 @@
-//! Deterministic chaos harness for the serving stack.
+//! One deterministic chaos engine for the serving stack.
 //!
 //! Chaos testing usually trades reproducibility for realism: random fault
-//! injection finds bugs but cannot replay them. This harness keeps both.
-//! A [`ChaosConfig`] is a *seeded fault schedule* — an ordered list of
-//! [`Scene`]s (healthy traffic, corrupted depth sensors, injected batch
-//! panics, batch slowdowns, stale zero-deadline requests, queue-full
-//! storms) driven closed-loop against a real [`Server`], so the order in
-//! which the server observes events is a pure function of the config.
-//! Two runs with the same config produce bit-identical
-//! [`ChaosReport::fingerprint`]s: the same terminal-state tally and the
-//! same circuit-breaker transition log.
+//! injection finds bugs but cannot replay them. This crate keeps both. A
+//! [`Scenario`] is a *seeded fault schedule* — a fleet shape, a replica
+//! shape, a [`Traffic`] source and an ordered list of [`Scene`]s — driven
+//! closed-loop against a real [`Fleet`](sf_serve::Fleet), so the order in
+//! which the stack observes events is a pure function of the scenario.
+//! A single server is a fleet of one replica; a long-haul soak is the same
+//! engine on [`Traffic::Rig`] whose scene boundaries are its windows.
 //!
-//! Every run asserts the serving stack's conservation invariants and
-//! fails with a typed [`ChaosError`] when one breaks:
+//! [`run`] asserts, with a typed [`ChaosError`] when one breaks:
 //!
-//! 1. **No lost requests** — every submission reaches exactly one
-//!    terminal state (served / rejected / expired / failed); a request
-//!    that vanishes (e.g. `ServerDropped`) is an error.
-//! 2. **Honest accounting** — the server's [`StatsSnapshot`] tally equals
-//!    the tally the harness counted from the outside, and
-//!    `submitted == completed + rejected + expired + failed`.
-//! 3. **Pool survives** — injected batch panics never poison the
+//! 1. **One ledger, at every scene boundary** — the tally counted from
+//!    outside equals the fleet's leg ledger, `submitted == completed +
+//!    rejected + expired + failed + redirected` ([`Ledger`]), and the
+//!    router's counters reconcile with the per-replica server counters
+//!    ([`FleetStats::cross_check`](sf_serve::FleetStats::cross_check)).
+//! 2. **Scene contracts** — a flood sheds exactly its excess; zero-deadline
+//!    requests expire without executing a batch; injected panics fail
+//!    typed and never serve; kill-storm legs redirect, never fail; deploy
+//!    scenes lose no leg; a bit-identical shadow candidate diffs exactly
+//!    0.0 and promotes.
+//! 3. **Bounded memory** — with four or more checkpoints, the scratch
+//!    arenas the run owns (each replica executor's plus the driver
+//!    thread's) reach their final high-water mark in the first quarter.
+//! 4. **Breaker schedule** — only sources with a scheduled fault trip;
+//!    every [`FaultBurst`] source trips and has re-closed by the end.
+//! 5. **Pool survives** — injected batch panics never poison the
 //!    `sf-runtime` worker pool; it still serves work after shutdown.
-//! 4. **Shutdown drains** — `Server::shutdown` always joins (a hang here
-//!    fails the surrounding test by timeout).
 //!
-//! The [`fleet`]-level harness ([`FleetChaosConfig`] / [`run_fleet`])
-//! extends the same discipline to a replica [`Fleet`](sf_serve::Fleet):
-//! kill storms, revivals, mid-storm hot deploys and shadow deploys, with
-//! fleet-wide leg conservation and the router-vs-replica cross-check
-//! asserted after every run.
+//! Two runs of one scenario produce equal [`Report::fingerprint`]s;
+//! [`run_twice`] checks exactly that.
 //!
 //! # Examples
 //!
 //! ```
-//! use sf_chaos::{ChaosConfig, Scene};
+//! use sf_chaos::{parse_scenes, Scenario};
 //!
-//! let config = ChaosConfig::default()
+//! let scenario = Scenario::chaos(2, true)
 //!     .with_seed(7)
-//!     .with_scenes(vec![Scene::Calm { requests: 3 }, Scene::Stale { requests: 2 }]);
-//! let report = sf_chaos::run(&config).unwrap();
-//! assert_eq!(report.tally.completed, 3);
-//! assert_eq!(report.tally.expired, 2);
+//!     .with_scenes(parse_scenes("calm:3,stale:2,storm:2,revive:1").unwrap());
+//! let report = sf_chaos::run(&scenario).unwrap();
+//! assert_eq!(report.ledger().expired, 2);
+//! assert_eq!((report.kills, report.revives), (1, 1));
+//! ```
+//!
+//! A soak is the same call on rig traffic:
+//!
+//! ```
+//! use sf_chaos::Scenario;
+//!
+//! let report = sf_chaos::run(&Scenario::soak(true).with_seed(11)).unwrap();
+//! assert!(report.ledger().is_conserved());
+//! assert!(report.source_trips[&1] >= 1);
 //! ```
 
-mod fleet;
-mod soak;
+mod engine;
+mod report;
 
-pub use fleet::{
-    parse_fleet_scenes, run_fleet, FleetChaosConfig, FleetChaosError, FleetChaosReport, FleetScene,
-};
-pub use soak::{
-    run_soak, FaultBurst, SoakConfig, SoakError, SoakReport, WeatherFront, WindowSummary,
-};
+pub use engine::{frame, run, run_twice};
+pub use report::{ChaosError, Checkpoint, Ledger, Report};
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use sf_core::{
-    BreakerConfig, BreakerState, BreakerTransition, DegradationPolicy, FusionNet, FusionScheme,
-    NetworkConfig,
-};
-use sf_dataset::{FaultInjector, SensorFault};
-use sf_runtime::PoolStats;
-use sf_serve::{Backpressure, BatchProbe, Request, ServeConfig, ServeError, Server};
-use sf_tensor::{Tensor, TensorRng};
+use sf_core::{BreakerConfig, DegradationPolicy};
+use sf_scene::{Rig, Weather};
+use sf_serve::{Backpressure, DispatchPolicy, ServeConfig, ServeError};
 
-/// One phase of a chaos schedule. Scenes run in order, closed-loop (one
-/// outstanding request at a time, except [`Scene::QueueStorm`] which
-/// floods a plugged executor), so the server observes a deterministic
-/// event sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One phase of a schedule. Scenes run in order; every scene ends with
+/// the fleet quiescent and a [`Checkpoint`]. A *frame* is one draw from
+/// the scenario's [`Traffic`]: one request under uniform traffic, one
+/// request per rig mount under rig traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scene {
-    /// Healthy traffic: submit-and-wait `requests` well-formed frames.
-    Calm {
-        /// Closed-loop requests to serve.
-        requests: usize,
-    },
-    /// Depth-sensor failure: each frame's depth is corrupted by `fault`
-    /// before submission. With a quarantining policy this drives the
-    /// circuit breaker's failure observations.
-    Corrupt {
-        /// Closed-loop requests to serve.
-        requests: usize,
-        /// Corruption applied to every depth frame (seeded per scene).
-        fault: SensorFault,
-    },
-    /// Already-dead work: requests submitted with a zero deadline, which
-    /// have always expired by dequeue time and must never execute.
-    Stale {
-        /// Requests to submit and expire.
-        requests: usize,
-    },
-    /// Worker panics: the executor's batch probe panics inside the panic
-    /// guard for each of these requests; they must fail typed
-    /// (`BatchPanicked`) and the server must keep serving.
-    PanicStorm {
-        /// Requests whose batches panic.
-        requests: usize,
-    },
-    /// Batch slowdowns: every batch sleeps `sleep_ms` before the forward
-    /// pass. With a generous deadline these still complete; with a tight
-    /// one they expire — either way they must terminate.
-    Slowdown {
-        /// Closed-loop requests to serve slowly.
-        requests: usize,
+    /// Healthy traffic: submit-and-wait this many frames.
+    Calm(usize),
+    /// Source 0's depth sensor goes dark (all-zero depth) for this many
+    /// frames: its slot quarantines and, with enough of them, its breaker
+    /// trips — without dragging other sources down.
+    Corrupt(usize),
+    /// Already-dead work: frames submitted with a zero deadline, which
+    /// must expire at dequeue without ever executing a batch.
+    Stale(usize),
+    /// Worker panics: every batch executed during the scene panics inside
+    /// the executor's guard; its requests must fail typed
+    /// (`BatchPanicked`), never serve, and the fleet must keep serving.
+    Panic(usize),
+    /// Batch slowdowns: every batch sleeps before its forward pass. With a
+    /// generous deadline the frames still complete; with a tight one they
+    /// expire — either way they terminate.
+    Slow {
+        /// Frames to serve slowly.
+        frames: usize,
         /// Injected per-batch delay, milliseconds.
         sleep_ms: u64,
     },
-    /// Queue-full storm: plug the executor, flood the bounded queue to
-    /// capacity plus `excess` from one thread, then unplug. Exactly
-    /// `excess` submissions are shed with `QueueFull`.
-    QueueStorm {
-        /// Submissions beyond queue capacity (each must be rejected).
-        excess: usize,
+    /// Queue flood: park every executor, fill the routed queue(s) to
+    /// capacity, then submit this many more — exactly that many are shed
+    /// with `QueueFull`.
+    Flood(usize),
+    /// Replica kill storm: park every executor, queue `frames` frames,
+    /// kill the lowest alive replica, optionally hot-deploy a retrained
+    /// model mid-storm, then release. The victim's queued legs must be
+    /// redirected — never terminally failed.
+    Storm {
+        /// Frames queued behind the parked executors.
+        frames: usize,
+        /// Hot-swap a retrained model while the storm is in flight.
+        deploy: bool,
     },
+    /// Revive every dead replica from the live model, then serve this
+    /// many frames (under consistent hashing its keys come home).
+    Revive(usize),
+    /// Shadow-deploy a candidate rebuilt from the live model's seed while
+    /// serving this many frames: every mirrored diff must be bitwise zero
+    /// and the candidate must promote.
+    Shadow(usize),
 }
 
 impl Scene {
-    fn request_count(&self) -> usize {
+    /// The scene's count: frames it draws, or a flood's shed excess.
+    pub fn count(&self) -> usize {
+        match *self {
+            Scene::Calm(n)
+            | Scene::Corrupt(n)
+            | Scene::Stale(n)
+            | Scene::Panic(n)
+            | Scene::Flood(n)
+            | Scene::Revive(n)
+            | Scene::Shadow(n) => n,
+            Scene::Slow { frames, .. } | Scene::Storm { frames, .. } => frames,
+        }
+    }
+
+    fn kind(&self) -> &'static str {
         match self {
-            Scene::Calm { requests }
-            | Scene::Corrupt { requests, .. }
-            | Scene::Stale { requests }
-            | Scene::PanicStorm { requests }
-            | Scene::Slowdown { requests, .. } => *requests,
-            Scene::QueueStorm { excess } => *excess,
+            Scene::Calm(_) => "calm",
+            Scene::Corrupt(_) => "corrupt",
+            Scene::Stale(_) => "stale",
+            Scene::Panic(_) => "panic",
+            Scene::Slow { .. } => "slow",
+            Scene::Flood(_) => "flood",
+            Scene::Storm { deploy: false, .. } => "storm",
+            Scene::Storm { deploy: true, .. } => "deploystorm",
+            Scene::Revive(_) => "revive",
+            Scene::Shadow(_) => "shadow",
         }
     }
 }
 
 impl fmt::Display for Scene {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Scene::Calm { requests } => write!(f, "calm:{requests}"),
-            Scene::Corrupt { requests, .. } => write!(f, "corrupt:{requests}"),
-            Scene::Stale { requests } => write!(f, "stale:{requests}"),
-            Scene::PanicStorm { requests } => write!(f, "panic:{requests}"),
-            Scene::Slowdown { requests, .. } => write!(f, "slow:{requests}"),
-            Scene::QueueStorm { excess } => write!(f, "storm:{excess}"),
-        }
+        write!(f, "{}:{}", self.kind(), self.count())
     }
 }
 
-/// Parses a comma-separated scene list, e.g. `calm:6,corrupt:10,storm:4`.
-/// Kinds: `calm`, `corrupt` (dead depth sensor), `stale`, `panic`, `slow`
-/// (5 ms per batch), `storm`.
+/// Parses a comma-separated scene list, e.g.
+/// `calm:6,corrupt:10,flood:4,storm:3,revive:2,shadow:4` — the one
+/// grammar every entry point shares (and the inverse of `Scene`'s
+/// `Display`). Kinds: `calm`, `corrupt` (dead depth on source 0), `stale`
+/// (zero deadline), `panic`, `slow` (5 ms per batch), `flood` (queue
+/// flood shedding N), `storm` (kill a replica under N queued frames),
+/// `deploystorm` (storm plus a mid-storm hot deploy), `revive`, `shadow`.
 ///
 /// # Errors
 ///
@@ -165,618 +180,389 @@ pub fn parse_scenes(spec: &str) -> Result<Vec<Scene>, String> {
             if n == 0 {
                 return Err(format!("scene '{part}': count must be >= 1"));
             }
-            match kind {
-                "calm" => Ok(Scene::Calm { requests: n }),
-                "corrupt" => Ok(Scene::Corrupt {
-                    requests: n,
-                    fault: SensorFault::DepthDropout { p: 1.0 },
-                }),
-                "stale" => Ok(Scene::Stale { requests: n }),
-                "panic" => Ok(Scene::PanicStorm { requests: n }),
-                "slow" => Ok(Scene::Slowdown {
-                    requests: n,
+            Ok(match kind {
+                "calm" => Scene::Calm(n),
+                "corrupt" => Scene::Corrupt(n),
+                "stale" => Scene::Stale(n),
+                "panic" => Scene::Panic(n),
+                "slow" => Scene::Slow {
+                    frames: n,
                     sleep_ms: 5,
-                }),
-                "storm" => Ok(Scene::QueueStorm { excess: n }),
-                other => Err(format!(
-                    "unknown scene kind '{other}' (expected calm|corrupt|stale|panic|slow|storm)"
-                )),
-            }
+                },
+                "flood" => Scene::Flood(n),
+                "storm" | "deploystorm" => Scene::Storm {
+                    frames: n,
+                    deploy: kind == "deploystorm",
+                },
+                "revive" => Scene::Revive(n),
+                "shadow" => Scene::Shadow(n),
+                other => {
+                    return Err(format!(
+                        "unknown scene kind '{other}' (expected calm|corrupt|stale|panic|slow|\
+                         flood|storm|deploystorm|revive|shadow)"
+                    ))
+                }
+            })
         })
         .collect()
 }
 
-/// A seeded fault schedule plus the server shape it runs against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosConfig {
-    /// Master seed: frames, per-scene fault injectors and the breaker's
-    /// probe stream all derive from it.
-    pub seed: u64,
-    /// Ordered fault schedule.
-    pub scenes: Vec<Scene>,
-    /// Default deadline given to every request ([`Scene::Stale`] overrides
-    /// with zero). Generous by default so live requests never expire
-    /// nondeterministically; the chaos *sweep* tightens it on purpose.
-    pub default_deadline: Option<Duration>,
-    /// Circuit breaker for the served depth branch; `None` disables.
-    pub breaker: Option<BreakerConfig>,
-    /// Served batch-size bound.
-    pub max_batch: usize,
-    /// Bounded queue capacity ([`Scene::QueueStorm`] floods past it).
-    pub queue_capacity: usize,
+/// A weather change on the rig stream's scene clock: from `frame` on, the
+/// stream renders under `weather` (until a later front takes over).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeatherFront {
+    /// First frame rendered under this front's weather.
+    pub frame: u64,
+    /// The weather the front brings.
+    pub weather: Weather,
 }
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            seed: 0xC4A05,
-            scenes: parse_scenes("calm:6,corrupt:10,slow:4,panic:3,stale:4,storm:4,calm:6")
-                .expect("default scene spec parses"),
-            default_deadline: Some(Duration::from_secs(10)),
-            breaker: Some(BreakerConfig::default()),
-            max_batch: 4,
-            queue_capacity: 4,
+/// A per-source sensor outage on the rig stream: for `frames` frames
+/// starting at `frame`, the mount tagged `source` submits all-zero depth
+/// (a dead sensor), so its slot breaker must trip — and recover once the
+/// burst passes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultBurst {
+    /// The [`SourceId`](sf_serve::SourceId) whose sensor dies.
+    pub source: u64,
+    /// First dead frame.
+    pub frame: u64,
+    /// Length of the outage in frames.
+    pub frames: u64,
+}
+
+impl FaultBurst {
+    fn active(&self, frame: u64) -> bool {
+        frame >= self.frame && frame < self.frame + self.frames
+    }
+}
+
+/// Where a scenario's frames come from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Traffic {
+    /// Seeded uniform-noise frames ([`frame`]), one request each, tagged
+    /// with eight rotating sources.
+    Uniform,
+    /// The rendered world: one procedural road scene with a seeded
+    /// occluder convoy, observed through a multi-LiDAR rig. Each frame
+    /// fans out one request per mount, tagged with the mount's source, and
+    /// the stream recycles its frame buffers through the scratch arena —
+    /// which is what makes invariant 3 a real bounded-memory probe.
+    Rig {
+        /// The rig; each mount is its own source stream at the fleet.
+        rig: Rig,
+        /// Weather schedule, sorted by frame; clear before the first.
+        fronts: Vec<WeatherFront>,
+        /// Per-source dead-sensor bursts.
+        bursts: Vec<FaultBurst>,
+    },
+}
+
+impl Traffic {
+    /// Requests one frame fans out into.
+    pub(crate) fn legs_per_frame(&self) -> usize {
+        match self {
+            Traffic::Uniform => 1,
+            Traffic::Rig { rig, .. } => rig.len(),
+        }
+    }
+
+    /// The weather in effect at scene-clock `frame`: the latest front at
+    /// or before it; clear before the first front and under uniform
+    /// traffic.
+    pub(crate) fn weather_at(&self, frame: u64) -> Weather {
+        match self {
+            Traffic::Uniform => Weather::clear(),
+            Traffic::Rig { fronts, .. } => fronts
+                .iter()
+                .filter(|f| f.frame <= frame)
+                .max_by_key(|f| f.frame)
+                .map_or(Weather::clear(), |f| f.weather),
         }
     }
 }
 
-impl ChaosConfig {
-    /// Returns the config with a different seed (chainable).
+/// A seeded scenario: the fleet shape, the replica shape, the traffic
+/// source and the fault schedule — everything [`run`] needs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// Master seed: frames, the rendered world, routing scores and the
+    /// breakers' probe streams all derive from it.
+    pub seed: u64,
+    /// Replica count (≥ 1; a single server is a fleet of one).
+    pub replicas: usize,
+    /// Routing policy under test.
+    pub dispatch: DispatchPolicy,
+    /// Per-replica served batch-size bound.
+    pub max_batch: usize,
+    /// Per-replica bounded queue capacity. Floods fill it exactly; storms
+    /// and one frame's fan-out must fit inside it.
+    pub queue_capacity: usize,
+    /// Default request deadline ([`Scene::Stale`] overrides with zero).
+    /// Generous by default so live requests never expire
+    /// nondeterministically; the chaos sweep tightens it on purpose.
+    pub deadline: Option<Duration>,
+    /// Per-source circuit breaker bank on every replica; `None` disables.
+    pub breaker: Option<BreakerConfig>,
+    /// Where frames come from.
+    pub traffic: Traffic,
+    /// Ordered fault schedule.
+    pub scenes: Vec<Scene>,
+}
+
+impl Default for Scenario {
+    fn default() -> Self {
+        Scenario::chaos(1, false)
+    }
+}
+
+impl Scenario {
+    /// The request-level chaos recipe on uniform traffic: every fault kind
+    /// once, against `replicas` replicas (kill storms are left out of a
+    /// fleet of one). `smoke` shrinks the counts to a CI-sized schedule
+    /// that still touches every kind.
+    pub fn chaos(replicas: usize, smoke: bool) -> Scenario {
+        let spec = if smoke {
+            "calm:2,corrupt:2,slow:2,panic:2,stale:2,flood:2,deploystorm:2,revive:1,shadow:2,calm:1"
+        } else {
+            "calm:6,corrupt:10,slow:4,panic:3,stale:4,flood:4,storm:4,revive:3,deploystorm:4,\
+             shadow:5,calm:6"
+        };
+        let mut scenes = parse_scenes(spec).expect("recipe spec parses");
+        scenes.retain(|s| replicas > 1 || !matches!(s, Scene::Storm { .. }));
+        Scenario {
+            seed: 0xC4A05,
+            replicas,
+            dispatch: DispatchPolicy::ConsistentHash,
+            max_batch: 4,
+            queue_capacity: 4,
+            deadline: Some(Duration::from_secs(10)),
+            // Small window so a handful of dead-depth frames completes a
+            // trip -> cooldown -> probe -> close cycle inside one schedule.
+            breaker: Some(BreakerConfig {
+                window: 4,
+                min_samples: 4,
+                trip_threshold: 0.5,
+                cooldown: 4,
+                success_probes: 2,
+                probe_chance: 1.0,
+                seed: 23,
+            }),
+            traffic: Traffic::Uniform,
+            scenes,
+        }
+    }
+
+    /// The long-haul recipe on rig traffic against three replicas: 2000
+    /// frames in 200-frame windows, a 3-mount rig, three weather fronts
+    /// and two 12-frame fault bursts on the left-pod source. `smoke` is
+    /// the same recipe at CI size (240 frames, 40-frame windows, a
+    /// sparser ray budget); it still checks every invariant.
+    pub fn soak(smoke: bool) -> Scenario {
+        // The full ray budget is wasted on a 48x16 serving frame; trimming
+        // it keeps the long haul minutes-scale without changing any path.
+        let (frames, window, rings, azimuth) = if smoke {
+            (240, 40, 12, 48)
+        } else {
+            (2000, 200, 24, 72)
+        };
+        let front = |frame, weather| WeatherFront { frame, weather };
+        // Early first burst: the arena must already be at its final size
+        // before the plateau checkpoint, and each breaker trip must
+        // recover long before shutdown.
+        let burst = |frame| FaultBurst {
+            source: 1,
+            frame,
+            frames: 12,
+        };
+        Scenario {
+            seed: 0x50A4_0001 ^ 0x2022,
+            queue_capacity: 16,
+            traffic: Traffic::Rig {
+                rig: Rig::triple().with_resolution(rings, azimuth),
+                fronts: vec![
+                    front(frames / 4, Weather::rain(0.5)),
+                    front(frames / 2, Weather::fog(0.8)),
+                    front(3 * frames / 4, Weather::snow(0.7)),
+                ],
+                bursts: vec![burst(frames / 10), burst(3 * frames / 5)],
+            },
+            scenes: windows(frames, window),
+            ..Scenario::chaos(3, smoke)
+        }
+    }
+
+    /// Returns the scenario with a different seed (chainable).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Returns the config with a different schedule (chainable).
+    /// Returns the scenario with a different schedule (chainable).
     pub fn with_scenes(mut self, scenes: Vec<Scene>) -> Self {
         self.scenes = scenes;
         self
     }
 
-    /// Returns the config with a different default deadline (chainable).
-    pub fn with_default_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.default_deadline = deadline;
+    /// Returns the scenario with a different dispatch policy (chainable).
+    pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
+        self.dispatch = dispatch;
         self
     }
 
-    /// Returns the config with a different breaker (chainable; `None`
-    /// disables the breaker).
+    /// Returns the scenario with a different default deadline (chainable).
+    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
+    /// Returns the scenario with a different breaker (chainable; `None`
+    /// disables the breaker bank).
     pub fn with_breaker(mut self, breaker: Option<BreakerConfig>) -> Self {
         self.breaker = breaker;
         self
     }
 
-    /// A smoke-sized schedule that still touches every fault kind; used
-    /// by `roadseg chaos --smoke` and CI.
-    pub fn smoke(mut self) -> Self {
-        self.scenes =
-            parse_scenes("calm:2,corrupt:2,slow:2,panic:2,stale:2,storm:2").expect("parses");
+    /// Returns the scenario with a calm-only schedule of `frames` frames
+    /// cut into `window`-frame scenes, so every window boundary is a
+    /// [`Checkpoint`] (chainable). Rig fronts and bursts are rescaled with
+    /// the stream length, keeping their relative positions.
+    pub fn with_windows(mut self, frames: u64, window: u64) -> Self {
+        let ratio = frames as f64 / self.total_frames().max(1) as f64;
+        let scale = |frame: u64| (frame as f64 * ratio) as u64;
+        if let Traffic::Rig { fronts, bursts, .. } = &mut self.traffic {
+            fronts.iter_mut().for_each(|f| f.frame = scale(f.frame));
+            bursts.iter_mut().for_each(|b| b.frame = scale(b.frame));
+        }
+        self.scenes = windows(frames, window);
         self
     }
 
-    /// Total requests the schedule will submit (including shed ones).
-    pub fn total_requests(&self) -> usize {
-        // A storm also submits its holder request plus a queue-capacity
-        // fill on top of the shed excess.
+    /// The replica shape as `sf-serve` takes it (validated by its
+    /// builder); the engine adds its batch probe.
+    pub(crate) fn serve_config(&self) -> Result<ServeConfig, ServeError> {
+        let mut builder = ServeConfig::builder()
+            .max_batch(self.max_batch)
+            .queue_capacity(self.queue_capacity)
+            .backpressure(Backpressure::Reject)
+            .max_wait(Duration::ZERO)
+            .policy(DegradationPolicy::CameraFallback);
+        if let Some(deadline) = self.deadline {
+            builder = builder.default_deadline(deadline);
+        }
+        if let Some(breaker) = self.breaker {
+            builder = builder.breaker(breaker);
+        }
+        builder.build()
+    }
+
+    /// Frames the schedule draws from the traffic source — the length of
+    /// the rig stream's scene clock.
+    pub fn total_frames(&self) -> u64 {
         self.scenes
             .iter()
-            .map(|s| match s {
-                Scene::QueueStorm { excess } => 1 + self.queue_capacity + excess,
-                other => other.request_count(),
-            })
+            .filter(|s| !matches!(s, Scene::Flood(_)))
+            .map(|s| s.count() as u64)
             .sum()
     }
 
-    /// Checks the invariants the harness relies on.
+    /// Checks that the scenario is runnable, deterministic and its
+    /// assertions decidable.
     ///
     /// # Errors
     ///
-    /// Returns [`ChaosError::Config`] for an empty schedule, a zero
-    /// `max_batch`/`queue_capacity`, a zero default deadline, or an
-    /// invalid breaker config.
+    /// Returns [`ChaosError::Config`] for: no replicas or scenes; a zero
+    /// count; a replica shape `sf-serve` rejects (zero `max_batch`,
+    /// `queue_capacity` or deadline, an invalid breaker); a queue that
+    /// cannot hold one frame's fan-out; a kill storm
+    /// that would take the last alive replica (so any kill scene on one
+    /// replica), or whose queued frames could overflow a queue and shed
+    /// by race; and, on rig traffic, an empty rig, unsorted fronts, or a
+    /// burst that names no mount, has no breaker to trip, or ends too
+    /// close to the end of the stream for the breaker to recover.
     pub fn validate(&self) -> Result<(), ChaosError> {
-        if self.scenes.is_empty() {
-            return Err(ChaosError::Config {
-                reason: "chaos schedule has no scenes".to_string(),
-            });
+        let config = |reason: String| Err(ChaosError::Config { reason });
+        if self.replicas == 0 || self.scenes.is_empty() {
+            return config("a scenario needs at least one replica and one scene".into());
         }
-        if self.scenes.iter().any(|s| s.request_count() == 0) {
-            return Err(ChaosError::Config {
-                reason: "every scene needs a request count >= 1".to_string(),
-            });
+        if let Err(error) = self.serve_config() {
+            return config(error.to_string());
         }
-        if self.max_batch == 0 || self.queue_capacity == 0 {
-            return Err(ChaosError::Config {
-                reason: "max_batch and queue_capacity must be >= 1".to_string(),
-            });
-        }
-        if self.default_deadline == Some(Duration::ZERO) {
-            return Err(ChaosError::Config {
-                reason: "a zero default deadline expires everything; use a Stale scene instead"
-                    .to_string(),
-            });
-        }
-        if let Some(breaker) = &self.breaker {
-            if let Err(reason) = breaker.validate() {
-                return Err(ChaosError::Config { reason });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Terminal-state counts as observed *from the outside* by the harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tally {
-    /// Requests that entered `submit` (admitted or shed).
-    pub submitted: u64,
-    /// Requests whose `wait()` returned a prediction.
-    pub completed: u64,
-    /// Submissions shed with `QueueFull`.
-    pub rejected: u64,
-    /// Requests that terminated with `DeadlineExceeded`.
-    pub expired: u64,
-    /// Requests that terminated with `BatchPanicked`/`BadRequest`.
-    pub failed: u64,
-}
-
-impl Tally {
-    /// The conservation law: every submission reached a terminal state.
-    pub fn is_conserved(&self) -> bool {
-        self.submitted == self.completed + self.rejected + self.expired + self.failed
-    }
-}
-
-impl fmt::Display for Tally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "submitted {} = completed {} + rejected {} + expired {} + failed {}",
-            self.submitted, self.completed, self.rejected, self.expired, self.failed
-        )
-    }
-}
-
-/// Outcome of a chaos run that satisfied every invariant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosReport {
-    /// Terminal-state tally (harness-side; proven equal to the server's).
-    pub tally: Tally,
-    /// Served requests whose depth slot was quarantined (per-input policy
-    /// or open breaker).
-    pub quarantined: u64,
-    /// Forward-pass batches the server executed.
-    pub batches: u64,
-    /// Times the breaker tripped open.
-    pub breaker_trips: u64,
-    /// Breaker state at shutdown, if one was configured.
-    pub breaker_final: Option<BreakerState>,
-    /// Full breaker transition log, oldest first.
-    pub transitions: Vec<BreakerTransition>,
-    /// `sf-runtime` pool counter delta across the run (proves the pool
-    /// kept serving and which batches re-raised panics).
-    pub pool_delta: PoolStats,
-}
-
-impl ChaosReport {
-    /// A canonical string over everything that must be bit-reproducible
-    /// across runs of the same config: the tally and the breaker
-    /// transition log. Deliberately excludes wall-clock-dependent values
-    /// (latency, throughput, pool task counts).
-    pub fn fingerprint(&self) -> String {
-        let mut out = format!("tally[{}] quarantined={}", self.tally, self.quarantined);
-        for t in &self.transitions {
-            out.push_str(&format!(
-                " | {}->{}@{}:{}",
-                t.from, t.to, t.at_request, t.reason
+        let legs = self.traffic.legs_per_frame();
+        if legs == 0 || legs > self.queue_capacity {
+            return config(format!(
+                "queue_capacity {} cannot hold one frame's {legs} requests",
+                self.queue_capacity
             ));
         }
-        out
-    }
-
-    /// Multi-line human rendering for the CLI and the experiment sweep.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("  {}\n", self.tally));
-        out.push_str(&format!(
-            "  quarantined {}  batches {}  pool(+{} batches, +{} panicked)\n",
-            self.quarantined,
-            self.batches,
-            self.pool_delta.batches,
-            self.pool_delta.panicked_batches
-        ));
-        match self.breaker_final {
-            Some(state) => {
-                out.push_str(&format!(
-                    "  breaker: {} (trips {}, {} transitions)\n",
-                    state,
-                    self.breaker_trips,
-                    self.transitions.len()
-                ));
-                for t in &self.transitions {
-                    out.push_str(&format!("    {t}\n"));
+        let mut alive = self.replicas;
+        for scene in &self.scenes {
+            match *scene {
+                _ if scene.count() == 0 => {
+                    return config(format!("scene {scene}: count must be >= 1"));
                 }
-            }
-            None => out.push_str("  breaker: disabled\n"),
-        }
-        out
-    }
-}
-
-/// A broken invariant (or an unrunnable config). Any of these from a
-/// chaos run is a bug in the serving stack, not in the schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosError {
-    /// The schedule itself is invalid.
-    Config {
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// A submission failed in a way the schedule cannot explain (e.g.
-    /// `ShuttingDown` while the server should be live).
-    UnexpectedOutcome {
-        /// Which scene observed it.
-        scene: String,
-        /// The offending error.
-        error: ServeError,
-    },
-    /// A request vanished without a terminal state (`ServerDropped`).
-    LostRequest {
-        /// Which scene observed it.
-        scene: String,
-    },
-    /// The server's own counters disagree with the harness's outside
-    /// count — something was lost or double-counted internally.
-    TallyMismatch {
-        /// What the harness observed.
-        local: Tally,
-        /// What the server reported.
-        server: Tally,
-    },
-    /// The server's counters do not satisfy the conservation law.
-    NotConserved {
-        /// The non-conserving server tally.
-        server: Tally,
-    },
-    /// The worker pool stopped serving work after the run.
-    PoolStalled,
-}
-
-impl fmt::Display for ChaosError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChaosError::Config { reason } => write!(f, "invalid chaos config: {reason}"),
-            ChaosError::UnexpectedOutcome { scene, error } => {
-                write!(f, "scene {scene}: unexpected outcome: {error}")
-            }
-            ChaosError::LostRequest { scene } => {
-                write!(f, "scene {scene}: a request reached no terminal state")
-            }
-            ChaosError::TallyMismatch { local, server } => {
-                write!(
-                    f,
-                    "server tally disagrees with harness: harness [{local}] vs server [{server}]"
-                )
-            }
-            ChaosError::NotConserved { server } => {
-                write!(f, "server counters not conserved: [{server}]")
-            }
-            ChaosError::PoolStalled => {
-                write!(f, "sf-runtime pool no longer serves work after the run")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ChaosError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ChaosError::UnexpectedOutcome { error, .. } => Some(error),
-            _ => None,
-        }
-    }
-}
-
-/// Per-batch action the chaos probe replays inside the executor. Scenes
-/// enqueue actions just before submitting the request whose batch should
-/// suffer them; closed-loop pacing makes the pairing exact.
-enum ProbeAction {
-    Sleep(Duration),
-    Panic,
-    /// Park the executor until [`ProbePlan::release`].
-    Hold,
-}
-
-#[derive(Default)]
-struct ProbePlan {
-    actions: Mutex<VecDeque<ProbeAction>>,
-    held: Mutex<bool>,
-    release: Condvar,
-}
-
-impl ProbePlan {
-    fn push(&self, action: ProbeAction) {
-        self.actions
-            .lock()
-            .expect("plan poisoned")
-            .push_back(action);
-    }
-
-    fn engage_hold(&self) {
-        *self.held.lock().expect("plan poisoned") = true;
-        self.push(ProbeAction::Hold);
-    }
-
-    fn release(&self) {
-        *self.held.lock().expect("plan poisoned") = false;
-        self.release.notify_all();
-    }
-
-    fn probe(self: &Arc<Self>) -> BatchProbe {
-        let plan = Arc::clone(self);
-        BatchProbe::new(move |_batch| {
-            let action = plan.actions.lock().expect("plan poisoned").pop_front();
-            match action {
-                Some(ProbeAction::Sleep(d)) => std::thread::sleep(d),
-                Some(ProbeAction::Panic) => panic!("chaos: injected batch panic"),
-                Some(ProbeAction::Hold) => {
-                    let mut held = plan.held.lock().expect("plan poisoned");
-                    while *held {
-                        held = plan.release.wait(held).expect("plan poisoned");
-                    }
+                Scene::Storm { frames, .. } if frames * legs > self.queue_capacity => {
+                    return config(format!(
+                        "scene {scene} queues {} requests past queue_capacity {}: \
+                         a storm that can shed is nondeterministic",
+                        frames * legs,
+                        self.queue_capacity
+                    ));
                 }
-                None => {}
+                Scene::Storm { .. } if alive < 2 => {
+                    return config(format!(
+                        "scene {scene} would kill the last of {} replica(s), \
+                         leaving none to redirect to",
+                        self.replicas
+                    ));
+                }
+                Scene::Storm { .. } => alive -= 1,
+                Scene::Revive(_) => alive = self.replicas,
+                _ => {}
             }
-        })
-    }
-}
-
-/// Runs the schedule against a fresh tiny fusion net and checks every
-/// invariant. See the crate docs for the invariant list.
-///
-/// # Errors
-///
-/// Returns the first [`ChaosError`] encountered — an invalid config, an
-/// inexplicable request outcome, or a broken conservation/pool invariant.
-pub fn run(config: &ChaosConfig) -> Result<ChaosReport, ChaosError> {
-    config.validate()?;
-    let net_config = NetworkConfig::tiny();
-    let net =
-        FusionNet::new(FusionScheme::AllFilterU, &net_config).map_err(|e| ChaosError::Config {
-            reason: format!("cannot build chaos net: {e}"),
-        })?;
-    let plan = Arc::new(ProbePlan::default());
-    let mut builder = ServeConfig::builder()
-        .max_batch(config.max_batch)
-        .queue_capacity(config.queue_capacity)
-        .backpressure(Backpressure::Reject)
-        .max_wait(Duration::ZERO)
-        .policy(DegradationPolicy::CameraFallback)
-        .batch_probe(plan.probe());
-    if let Some(deadline) = config.default_deadline {
-        builder = builder.default_deadline(deadline);
-    }
-    if let Some(breaker) = config.breaker {
-        builder = builder.breaker(breaker);
-    }
-    let serve_config = builder.build().map_err(|e| ChaosError::Config {
-        reason: format!("server rejected chaos config: {e}"),
-    })?;
-    let server = Server::start(net, serve_config).map_err(|e| ChaosError::Config {
-        reason: format!("server rejected chaos config: {e}"),
-    })?;
-
-    let pool_before = sf_runtime::pool_stats();
-    let mut rng = TensorRng::seed_from(config.seed);
-    let mut tally = Tally::default();
-    let mut run_scenes = || -> Result<(), ChaosError> {
-        for (index, scene) in config.scenes.iter().enumerate() {
-            let scene_seed = config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let ctx = SceneContext {
-                net_config: &net_config,
-                plan: &plan,
-                scene_seed,
-                queue_capacity: config.queue_capacity,
+        }
+        let Traffic::Rig {
+            rig,
+            fronts,
+            bursts,
+        } = &self.traffic
+        else {
+            return Ok(());
+        };
+        if fronts.windows(2).any(|w| w[1].frame < w[0].frame) {
+            return config("weather fronts must be sorted by frame".into());
+        }
+        for burst in bursts {
+            let Some(breaker) = &self.breaker else {
+                return config("a fault burst needs a breaker to trip".into());
             };
-            run_scene(&server, scene, &ctx, &mut rng, &mut tally)?;
+            if burst.frames == 0 || !rig.mounts().iter().any(|m| m.source == burst.source) {
+                return config(format!(
+                    "fault burst on source {} needs >= 1 frame and a rig mount with that source",
+                    burst.source
+                ));
+            }
+            // The breaker must have healthy frames left to recover in.
+            if burst.frame + burst.frames + 8 * breaker.window as u64 > self.total_frames() {
+                return config(format!(
+                    "fault burst at frame {} runs too close to the end ({} frames): \
+                     the tripped breaker has no room to recover",
+                    burst.frame,
+                    self.total_frames()
+                ));
+            }
         }
         Ok(())
-    };
-    let scene_result = run_scenes();
-    // Always release a possibly-held executor before shutdown, even on an
-    // invariant failure mid-schedule, so the error propagates instead of
-    // hanging the drain.
-    plan.release();
-    let (_net, stats) = server.shutdown();
-    scene_result?;
-
-    let server_tally = Tally {
-        submitted: stats.submitted,
-        completed: stats.completed,
-        rejected: stats.rejected,
-        expired: stats.expired,
-        failed: stats.failed,
-    };
-    if server_tally != tally {
-        return Err(ChaosError::TallyMismatch {
-            local: tally,
-            server: server_tally,
-        });
     }
-    if !stats.is_conserved() {
-        return Err(ChaosError::NotConserved {
-            server: server_tally,
-        });
-    }
-    // The pool must still serve work after every injected panic.
-    sf_runtime::parallel_for(4, |_| {});
-    let pool_delta = sf_runtime::pool_stats() - pool_before;
-    if pool_delta.batches == 0 {
-        return Err(ChaosError::PoolStalled);
-    }
-    Ok(ChaosReport {
-        tally,
-        quarantined: stats.quarantined,
-        batches: stats.batches,
-        breaker_trips: stats.breaker_trips,
-        breaker_final: stats.breaker_state,
-        transitions: stats.breaker_transitions,
-        pool_delta,
-    })
 }
 
-fn frame(rng: &mut TensorRng, net_config: &NetworkConfig) -> (Tensor, Tensor) {
-    let (h, w) = (net_config.height, net_config.width);
-    (
-        rng.uniform(&[3, h, w], 0.0, 1.0),
-        rng.uniform(&[net_config.depth_channels, h, w], 0.1, 1.0),
-    )
-}
-
-/// Classifies one request's terminal outcome into the tally.
-fn settle(
-    scene: &Scene,
-    tally: &mut Tally,
-    outcome: Result<sf_serve::Prediction, ServeError>,
-) -> Result<(), ChaosError> {
-    match outcome {
-        Ok(_) => tally.completed += 1,
-        Err(ServeError::DeadlineExceeded { .. }) => tally.expired += 1,
-        Err(ServeError::BatchPanicked { .. } | ServeError::BadRequest { .. }) => tally.failed += 1,
-        Err(ServeError::ServerDropped) => {
-            return Err(ChaosError::LostRequest {
-                scene: scene.to_string(),
-            })
-        }
-        Err(error) => {
-            return Err(ChaosError::UnexpectedOutcome {
-                scene: scene.to_string(),
-                error,
-            })
-        }
-    }
-    Ok(())
-}
-
-/// Everything a scene needs beyond the server, frames RNG and tally.
-struct SceneContext<'a> {
-    net_config: &'a NetworkConfig,
-    plan: &'a Arc<ProbePlan>,
-    scene_seed: u64,
-    queue_capacity: usize,
-}
-
-fn run_scene(
-    server: &Server,
-    scene: &Scene,
-    ctx: &SceneContext<'_>,
-    rng: &mut TensorRng,
-    tally: &mut Tally,
-) -> Result<(), ChaosError> {
-    let SceneContext {
-        net_config,
-        plan,
-        scene_seed,
-        queue_capacity,
-    } = *ctx;
-    let submit_err = |error: ServeError| ChaosError::UnexpectedOutcome {
-        scene: scene.to_string(),
-        error,
-    };
-    match scene {
-        Scene::Calm { requests } => {
-            for _ in 0..*requests {
-                let (rgb, depth) = frame(rng, net_config);
-                let completion = server
-                    .submit(Request::new(rgb, depth))
-                    .map_err(submit_err)?;
-                tally.submitted += 1;
-                settle(scene, tally, completion.wait())?;
-            }
-        }
-        Scene::Corrupt { requests, fault } => {
-            let mut injector = FaultInjector::new(*fault, scene_seed);
-            for _ in 0..*requests {
-                let (rgb, depth) = frame(rng, net_config);
-                let depth = injector.corrupt_depth(&depth);
-                let completion = server
-                    .submit(Request::new(rgb, depth))
-                    .map_err(submit_err)?;
-                tally.submitted += 1;
-                settle(scene, tally, completion.wait())?;
-            }
-        }
-        Scene::Stale { requests } => {
-            for _ in 0..*requests {
-                let (rgb, depth) = frame(rng, net_config);
-                let completion = server
-                    .submit(Request::new(rgb, depth).with_deadline(Duration::ZERO))
-                    .map_err(submit_err)?;
-                tally.submitted += 1;
-                settle(scene, tally, completion.wait())?;
-            }
-        }
-        Scene::PanicStorm { requests } => {
-            for _ in 0..*requests {
-                let (rgb, depth) = frame(rng, net_config);
-                plan.push(ProbeAction::Panic);
-                let completion = server
-                    .submit(Request::new(rgb, depth))
-                    .map_err(submit_err)?;
-                tally.submitted += 1;
-                settle(scene, tally, completion.wait())?;
-            }
-        }
-        Scene::Slowdown { requests, sleep_ms } => {
-            for _ in 0..*requests {
-                let (rgb, depth) = frame(rng, net_config);
-                plan.push(ProbeAction::Sleep(Duration::from_millis(*sleep_ms)));
-                let completion = server
-                    .submit(Request::new(rgb, depth))
-                    .map_err(submit_err)?;
-                tally.submitted += 1;
-                settle(scene, tally, completion.wait())?;
-            }
-        }
-        Scene::QueueStorm { excess } => {
-            // Plug the executor with a holder request, wait for it to be
-            // claimed (queue empty again), then flood from this one thread:
-            // capacity admits, the next `excess` submissions are shed —
-            // exact counts, no races.
-            let batches_before = server.stats().batches;
-            plan.engage_hold();
-            let (rgb, depth) = frame(rng, net_config);
-            let holder = server
-                .submit(Request::new(rgb, depth))
-                .map_err(submit_err)?;
-            tally.submitted += 1;
-            while server.stats().batches == batches_before {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let mut admitted = Vec::new();
-            let flood = queue_capacity + excess;
-            for _ in 0..flood {
-                let (rgb, depth) = frame(rng, net_config);
-                match server.submit(Request::new(rgb, depth)) {
-                    Ok(completion) => {
-                        tally.submitted += 1;
-                        admitted.push(completion);
-                    }
-                    Err(ServeError::QueueFull { .. }) => {
-                        tally.submitted += 1;
-                        tally.rejected += 1;
-                    }
-                    Err(error) => return Err(submit_err(error)),
-                }
-            }
-            plan.release();
-            settle(scene, tally, holder.wait())?;
-            for completion in admitted {
-                settle(scene, tally, completion.wait())?;
-            }
-        }
-    }
-    Ok(())
+/// `frames` calm frames cut into `window`-frame scenes (the last one
+/// shorter if `window` does not divide `frames`).
+fn windows(frames: u64, window: u64) -> Vec<Scene> {
+    let window = window.max(1);
+    (0..frames.div_ceil(window))
+        .map(|i| Scene::Calm(window.min(frames - i * window) as usize))
+        .collect()
 }
 
 #[cfg(test)]
@@ -784,53 +570,166 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scene_parsing_round_trips_and_rejects_garbage() {
-        let scenes = parse_scenes("calm:2, corrupt:3 ,storm:1").expect("parses");
-        assert_eq!(scenes.len(), 3);
-        assert_eq!(scenes[0], Scene::Calm { requests: 2 });
+    fn scene_grammar_round_trips_and_rejects_garbage() {
+        let spec = "calm:2,corrupt:3,stale:1,panic:2,slow:4,flood:1,storm:3,deploystorm:1,\
+                    revive:2,shadow:4";
+        let scenes = parse_scenes(spec).expect("parses");
+        assert_eq!(scenes.len(), 10);
+        assert_eq!(scenes[1], Scene::Corrupt(3));
         assert_eq!(
-            scenes[1],
-            Scene::Corrupt {
-                requests: 3,
-                fault: SensorFault::DepthDropout { p: 1.0 }
+            scenes[4],
+            Scene::Slow {
+                frames: 4,
+                sleep_ms: 5
             }
         );
-        assert_eq!(scenes[2].to_string(), "storm:1");
-        assert!(parse_scenes("calm").is_err());
-        assert!(parse_scenes("calm:0").is_err());
-        assert!(parse_scenes("calm:x").is_err());
-        assert!(parse_scenes("riot:3").is_err());
+        // Flood and kill storm are distinct kinds: no homonyms.
+        assert_eq!(scenes[5], Scene::Flood(1));
+        assert_eq!(
+            scenes[6],
+            Scene::Storm {
+                frames: 3,
+                deploy: false
+            }
+        );
+        assert_eq!(
+            scenes[7],
+            Scene::Storm {
+                frames: 1,
+                deploy: true
+            }
+        );
+        let shown: Vec<String> = scenes.iter().map(Scene::to_string).collect();
+        assert_eq!(shown.join(","), spec.replace(' ', ""));
+        assert_eq!(parse_scenes(" calm:2 , flood:1 ").unwrap().len(), 2);
+        for bad in ["calm", "calm:0", "calm:x", "riot:3"] {
+            assert!(parse_scenes(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// Every rejection the three old `validate`s made, once, as rows.
+    #[test]
+    fn validation_table() {
+        let chaos = |replicas, spec: &str| {
+            Scenario::chaos(replicas, false).with_scenes(parse_scenes(spec).unwrap())
+        };
+        let soak = || Scenario::soak(true);
+        let with_bursts = |bursts: Vec<FaultBurst>| {
+            let mut s = soak();
+            if let Traffic::Rig { bursts: b, .. } = &mut s.traffic {
+                *b = bursts;
+            }
+            s
+        };
+        let burst = |source, frame, frames| FaultBurst {
+            source,
+            frame,
+            frames,
+        };
+        let rows: Vec<(&str, Scenario, bool)> = vec![
+            ("chaos recipe x1", Scenario::chaos(1, false), true),
+            ("chaos smoke x1", Scenario::chaos(1, true), true),
+            ("chaos recipe x3", Scenario::chaos(3, false), true),
+            ("chaos smoke x2", Scenario::chaos(2, true), true),
+            ("soak recipe", Scenario::soak(false), true),
+            ("soak smoke", soak(), true),
+            ("no scenes", chaos(1, "calm:1").with_scenes(vec![]), false),
+            (
+                "zero count",
+                chaos(1, "calm:1").with_scenes(vec![Scene::Calm(0)]),
+                false,
+            ),
+            (
+                "zero deadline",
+                chaos(1, "calm:1").with_deadline(Some(Duration::ZERO)),
+                false,
+            ),
+            (
+                "zero batch",
+                Scenario {
+                    max_batch: 0,
+                    ..chaos(1, "calm:1")
+                },
+                false,
+            ),
+            (
+                "zero replicas",
+                Scenario {
+                    replicas: 0,
+                    ..chaos(1, "calm:1")
+                },
+                false,
+            ),
+            // Killing the last replica is a schedule bug, not a fleet bug.
+            ("kill on one replica", chaos(1, "storm:2"), false),
+            (
+                "deploy kill on one replica",
+                chaos(1, "deploystorm:2"),
+                false,
+            ),
+            // Two storms without a revive in between drain a 2-fleet...
+            ("double storm", chaos(2, "storm:2,storm:2"), false),
+            // ...a revive between them makes it legal again.
+            (
+                "storm revive storm",
+                chaos(2, "storm:2,revive:1,storm:2"),
+                true,
+            ),
+            // Queued frames past the capacity could shed by race.
+            ("storm overflows queue", chaos(2, "storm:5"), false),
+            (
+                "flood on any fleet",
+                chaos(3, "flood:9").with_dispatch(DispatchPolicy::LeastOutstanding),
+                true,
+            ),
+            (
+                "burst names no mount",
+                with_bursts(vec![burst(9, 6, 4)]),
+                false,
+            ),
+            (
+                "burst too late to recover",
+                with_bursts(vec![burst(1, 220, 10)]),
+                false,
+            ),
+            ("burst without breaker", soak().with_breaker(None), false),
+            (
+                "queue below fan-out",
+                Scenario {
+                    queue_capacity: 2,
+                    ..soak()
+                },
+                false,
+            ),
+        ];
+        for (name, scenario, ok) in rows {
+            assert_eq!(
+                scenario.validate().is_ok(),
+                ok,
+                "{name}: {:?}",
+                scenario.validate()
+            );
+        }
     }
 
     #[test]
-    fn config_validation() {
-        assert!(ChaosConfig::default().validate().is_ok());
-        assert!(ChaosConfig::default()
-            .with_scenes(vec![])
-            .validate()
-            .is_err());
-        assert!(ChaosConfig::default()
-            .with_default_deadline(Some(Duration::ZERO))
-            .validate()
-            .is_err());
-        let bad = ChaosConfig {
-            max_batch: 0,
-            ..ChaosConfig::default()
+    fn windows_cover_the_stream_and_fronts_resolve_by_frame() {
+        let soak = Scenario::soak(false);
+        assert_eq!(soak.scenes, vec![Scene::Calm(200); 10]);
+        assert_eq!(soak.total_frames(), 2000);
+        assert!(soak.traffic.weather_at(0).is_clear());
+        assert_eq!(soak.traffic.weather_at(500), Weather::rain(0.5));
+        assert_eq!(soak.traffic.weather_at(1999), Weather::snow(0.7));
+        // A shorter stream keeps the schedules' relative positions.
+        let ragged = Scenario::soak(true).with_windows(100, 30);
+        assert_eq!(ragged.scenes.last(), Some(&Scene::Calm(10)));
+        assert_eq!(ragged.total_frames(), 100);
+        assert_eq!(ragged.traffic.weather_at(24), Weather::clear());
+        assert_eq!(ragged.traffic.weather_at(25), Weather::rain(0.5));
+        let Traffic::Rig { bursts, .. } = &ragged.traffic else {
+            panic!("soak runs on rig traffic");
         };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn chaos_error_display_and_source() {
-        let err = ChaosError::UnexpectedOutcome {
-            scene: "calm:1".to_string(),
-            error: ServeError::ShuttingDown,
-        };
-        assert!(err.to_string().contains("calm:1"));
-        assert!(std::error::Error::source(&err).is_some());
-        let lost = ChaosError::LostRequest {
-            scene: "storm:2".to_string(),
-        };
-        assert!(lost.to_string().contains("no terminal state"));
+        assert_eq!(bursts.iter().map(|b| b.frame).collect::<Vec<_>>(), [10, 60]);
+        assert!(Traffic::Uniform.weather_at(7).is_clear());
     }
 }

@@ -57,7 +57,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "no-breaker",
     "dump",
     "check",
-    "fleet",
     "kill",
     "deploy",
     "int8",
@@ -305,14 +304,14 @@ mod tests {
 
     #[test]
     fn boolean_switches_need_no_value() {
-        let bare = args(&["serve-bench", "--smoke"]).unwrap();
+        let bare = args(&["fleet-bench", "--smoke"]).unwrap();
         assert!(bare.get_bool("smoke"));
-        let trailing = args(&["serve-bench", "--smoke", "--clients", "2"]).unwrap();
+        let trailing = args(&["fleet-bench", "--smoke", "--clients", "2"]).unwrap();
         assert!(trailing.get_bool("smoke"));
         assert_eq!(trailing.get("clients"), Some("2"));
-        let explicit = args(&["serve-bench", "--smoke", "false"]).unwrap();
+        let explicit = args(&["fleet-bench", "--smoke", "false"]).unwrap();
         assert!(!explicit.get_bool("smoke"));
-        let absent = args(&["serve-bench"]).unwrap();
+        let absent = args(&["fleet-bench"]).unwrap();
         assert!(!absent.get_bool("smoke"));
         // Value-taking flags still reject a following flag as their value.
         assert!(matches!(

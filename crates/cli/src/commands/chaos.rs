@@ -1,27 +1,19 @@
-//! `roadseg chaos` — run the deterministic chaos harness against the
-//! serving stack and report the terminal-state tally, breaker log and
-//! invariant verdicts.
+//! `roadseg chaos` — run a seeded fault schedule through the one chaos
+//! engine and report the ledger, breaker log and invariant verdicts.
 //!
-//! The harness always runs the schedule **twice** and compares the two
-//! fingerprints: with the default generous deadline the runs must match
-//! bit-for-bit, which turns reproducibility itself into a checked
-//! invariant. `--smoke` shrinks the schedule for CI and *fails* on any
-//! fingerprint mismatch; with a user-tightened `--deadline-ms`, expiry
-//! becomes timing-dependent and a mismatch is reported but tolerated.
-//!
-//! `--fleet` switches to the fleet-level harness: the schedule runs
-//! against a replica [`Fleet`](sf_serve::Fleet) with kill storms,
-//! revivals, mid-storm hot deploys and shadow deploys. Fleet schedules
-//! always use deterministic deadlines, so *any* fingerprint mismatch is
-//! an error.
+//! `--replicas` picks the fleet size (a single server is a fleet of one;
+//! the default recipe leaves its kill storms out there), `--scenes` takes
+//! the unified grammar (`calm|corrupt|stale|panic|slow|flood|storm|
+//! deploystorm|revive|shadow`). The scenario always runs **twice**: with
+//! the default generous deadline the fingerprints must match bit-for-bit,
+//! which turns reproducibility itself into a checked invariant. With a
+//! user-tightened `--deadline-ms`, expiry becomes timing-dependent and a
+//! mismatch is reported but tolerated — except under `--smoke`.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use sf_chaos::{
-    parse_fleet_scenes, parse_scenes, ChaosConfig, ChaosReport, FleetChaosConfig, FleetChaosReport,
-};
-use sf_core::BreakerConfig;
+use sf_chaos::{parse_scenes, Scenario};
 use sf_serve::DispatchPolicy;
 
 use crate::{Args, CliError};
@@ -30,157 +22,101 @@ use crate::{Args, CliError};
 /// latency so expiry stays deterministic (only `stale` scenes expire).
 const DEFAULT_DEADLINE_MS: u64 = 10_000;
 
-/// Runs the chaos schedule twice and renders the report.
-pub fn chaos(args: &Args) -> Result<String, CliError> {
-    if args.get_bool("fleet") {
-        return fleet_chaos(args);
-    }
-    let smoke = args.get_bool("smoke");
-    let seed: u64 = args.get_parsed("seed", 0xC4A05, "integer")?;
-    let deadline_ms: u64 = args.get_parsed("deadline-ms", DEFAULT_DEADLINE_MS, "integer")?;
-    let mut config = ChaosConfig::default().with_seed(seed);
-    if smoke {
-        config = config.smoke();
-    }
-    if let Some(spec) = args.get("scenes") {
-        config.scenes = parse_scenes(spec).map_err(CliError::Invalid)?;
-    }
-    config.default_deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    if args.get_bool("no-breaker") {
-        config.breaker = None;
-    } else {
-        let mut breaker = BreakerConfig::default();
-        breaker.trip_threshold =
-            args.get_parsed("breaker-threshold", breaker.trip_threshold, "float")?;
-        breaker.window = args.get_parsed("breaker-window", breaker.window, "integer")?;
-        breaker.cooldown = args.get_parsed("breaker-cooldown", breaker.cooldown, "integer")?;
-        // A window shorter than the default min_samples would be
-        // unconditionally invalid; shrinking the window implies the user
-        // wants trips to be possible within it.
-        breaker.min_samples = breaker.min_samples.min(breaker.window);
-        config.breaker = Some(breaker);
-    }
-    config.queue_capacity = args.get_parsed("queue", config.queue_capacity, "integer")?;
-    config.max_batch = args.get_parsed("max-batch", config.max_batch, "integer")?;
+/// Parses `--dispatch`, defaulting to consistent hashing.
+pub(super) fn dispatch(args: &Args) -> Result<DispatchPolicy, CliError> {
+    let spec = args.get("dispatch").unwrap_or("hash");
+    DispatchPolicy::parse(spec).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown dispatch policy {spec:?} (expected hash|least)"
+        ))
+    })
+}
 
-    let first = sf_chaos::run(&config).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let second = sf_chaos::run(&config).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let reproducible = first.fingerprint() == second.fingerprint();
-    // A tightened deadline makes expiry timing-dependent on purpose; with
-    // the deterministic default, a mismatch is a real bug.
-    let deadline_is_deterministic = deadline_ms == 0 || deadline_ms >= 1_000;
-    if !reproducible && (smoke || deadline_is_deterministic) {
+/// Runs `scenario` twice and renders `header` plus the first report and
+/// the verdict lines. A diverging replay is an error unless `may_vary`.
+pub(super) fn run_and_render(
+    scenario: &Scenario,
+    mut log: String,
+    smoke: bool,
+    may_vary: bool,
+) -> Result<String, CliError> {
+    let (report, diverged) =
+        sf_chaos::run_twice(scenario).map_err(|e| CliError::Invalid(e.to_string()))?;
+    if let (Some(second), false) = (&diverged, may_vary) {
         return Err(CliError::Invalid(format!(
-            "chaos runs diverged under a deterministic schedule:\n  run 1: {}\n  run 2: {}",
-            first.fingerprint(),
-            second.fingerprint()
+            "runs diverged under a deterministic scenario:\n  run 1: {}\n  run 2: {second}",
+            report.fingerprint()
         )));
     }
-
-    Ok(render(&config, &first, reproducible, smoke))
-}
-
-/// Runs the fleet-level schedule twice; any fingerprint mismatch or
-/// broken fleet invariant is an error (fleet schedules are always
-/// deterministic).
-fn fleet_chaos(args: &Args) -> Result<String, CliError> {
-    let smoke = args.get_bool("smoke");
-    let seed: u64 = args.get_parsed("seed", FleetChaosConfig::default().seed, "integer")?;
-    let mut config = FleetChaosConfig::default().with_seed(seed);
-    if smoke {
-        config = config.smoke();
-    }
-    config.replicas = args.get_parsed("replicas", config.replicas, "integer")?;
-    if let Some(spec) = args.get("dispatch") {
-        config.dispatch = DispatchPolicy::parse(spec).ok_or_else(|| {
-            CliError::Invalid(format!(
-                "unknown dispatch policy {spec:?} (expected hash|least)"
-            ))
-        })?;
-    }
-    if let Some(spec) = args.get("scenes") {
-        config.scenes = parse_fleet_scenes(spec).map_err(CliError::Invalid)?;
-    }
-    config.queue_capacity = args.get_parsed("queue", config.queue_capacity, "integer")?;
-    config.max_batch = args.get_parsed("max-batch", config.max_batch, "integer")?;
-    if args.get_bool("no-breaker") {
-        config.breaker = None;
-    }
-
-    let first = sf_chaos::run_fleet(&config).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let second = sf_chaos::run_fleet(&config).map_err(|e| CliError::Invalid(e.to_string()))?;
-    if first.fingerprint() != second.fingerprint() {
-        return Err(CliError::Invalid(format!(
-            "fleet chaos runs diverged under a deterministic schedule:\n  run 1: {}\n  run 2: {}",
-            first.fingerprint(),
-            second.fingerprint()
-        )));
-    }
-    Ok(render_fleet(&config, &first, smoke))
-}
-
-fn render_fleet(config: &FleetChaosConfig, report: &FleetChaosReport, smoke: bool) -> String {
-    let scenes: Vec<String> = config.scenes.iter().map(|s| s.to_string()).collect();
-    let mut log = String::new();
-    let _ = writeln!(
-        log,
-        "fleet chaos  : seed {:#x}, {} replicas, {} dispatch, scenes [{}]",
-        config.seed,
-        config.replicas,
-        config.dispatch.label(),
-        scenes.join(",")
-    );
-    log.push_str(&report.render());
-    let _ = writeln!(
-        log,
-        "reproducible : yes (identical fleet ledger across 2 runs)"
-    );
-    let _ = writeln!(
-        log,
-        "invariants   : OK (legs conserved, router/replica reconciled, zero deploy casualties)"
-    );
-    if smoke {
-        let _ = writeln!(log, "smoke        : OK");
-    }
-    log
-}
-
-fn render(config: &ChaosConfig, report: &ChaosReport, reproducible: bool, smoke: bool) -> String {
-    let scenes: Vec<String> = config.scenes.iter().map(|s| s.to_string()).collect();
-    let mut log = String::new();
-    let _ = writeln!(
-        log,
-        "chaos        : seed {:#x}, {} requests over [{}]",
-        config.seed,
-        config.total_requests(),
-        scenes.join(",")
-    );
-    let _ = writeln!(
-        log,
-        "deadline     : {}",
-        match config.default_deadline {
-            Some(d) => format!("{} ms default", d.as_millis()),
-            None => "none".to_string(),
-        }
-    );
     log.push_str(&report.render());
     let _ = writeln!(
         log,
         "reproducible : {}",
-        if reproducible {
-            "yes (identical tally + breaker log across 2 runs)"
+        if diverged.is_none() {
+            "yes (identical ledger, checkpoints and breaker log across 2 runs)"
         } else {
             "no (expiry is timing-dependent under this deadline)"
         }
     );
     let _ = writeln!(
         log,
-        "invariants   : OK (no lost requests, counters conserved, pool alive)"
+        "invariants   : OK (every scene boundary conserved + router/replica reconciled, scene \
+         contracts held, scratch peak plateaued, breakers on schedule, pool alive)"
     );
     if smoke {
         let _ = writeln!(log, "smoke        : OK");
     }
-    log
+    Ok(log)
+}
+
+/// Runs the chaos schedule twice and renders the report.
+pub fn chaos(args: &Args) -> Result<String, CliError> {
+    let smoke = args.get_bool("smoke");
+    let replicas: usize = args.get_parsed("replicas", 1, "integer")?;
+    let mut scenario = Scenario::chaos(replicas, smoke).with_dispatch(dispatch(args)?);
+    scenario.seed = args.get_parsed("seed", scenario.seed, "integer")?;
+    if let Some(spec) = args.get("scenes") {
+        scenario.scenes = parse_scenes(spec).map_err(CliError::Invalid)?;
+    }
+    let deadline_ms: u64 = args.get_parsed("deadline-ms", DEFAULT_DEADLINE_MS, "integer")?;
+    scenario.deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
+    if args.get_bool("no-breaker") {
+        scenario.breaker = None;
+    } else if let Some(breaker) = &mut scenario.breaker {
+        breaker.trip_threshold =
+            args.get_parsed("breaker-threshold", breaker.trip_threshold, "float")?;
+        breaker.window = args.get_parsed("breaker-window", breaker.window, "integer")?;
+        breaker.cooldown = args.get_parsed("breaker-cooldown", breaker.cooldown, "integer")?;
+        // A window shorter than min_samples would be unconditionally
+        // invalid; shrinking the window implies the user wants trips to
+        // be possible within it.
+        breaker.min_samples = breaker.min_samples.min(breaker.window);
+    }
+    scenario.queue_capacity = args.get_parsed("queue", scenario.queue_capacity, "integer")?;
+    scenario.max_batch = args.get_parsed("max-batch", scenario.max_batch, "integer")?;
+
+    let scenes: Vec<String> = scenario.scenes.iter().map(|s| s.to_string()).collect();
+    let mut log = String::new();
+    let _ = writeln!(
+        log,
+        "chaos        : seed {:#x}, {} replica(s), {} dispatch, scenes [{}]",
+        scenario.seed,
+        scenario.replicas,
+        scenario.dispatch.label(),
+        scenes.join(",")
+    );
+    let _ = writeln!(
+        log,
+        "deadline     : {}",
+        match scenario.deadline {
+            Some(d) => format!("{} ms default", d.as_millis()),
+            None => "none".to_string(),
+        }
+    );
+    // A tightened deadline makes expiry timing-dependent on purpose; with
+    // the deterministic default, a mismatch is a real bug.
+    let may_vary = !smoke && (1..1_000).contains(&deadline_ms);
+    run_and_render(&scenario, log, smoke, may_vary)
 }
 
 #[cfg(test)]
@@ -193,11 +129,37 @@ mod tests {
     }
 
     #[test]
-    fn smoke_run_passes_and_reports_reproducibility() {
-        let log = run(&["chaos", "--smoke"]).unwrap();
-        assert!(log.contains("reproducible : yes"), "{log}");
-        assert!(log.contains("invariants   : OK"), "{log}");
-        assert!(log.contains("smoke        : OK"), "{log}");
+    fn smoke_runs_pass_on_one_replica_and_on_a_fleet() {
+        // args, substrings the log must contain
+        let rows: [(&[&str], &[&str]); 2] = [
+            (
+                &["chaos", "--smoke"],
+                &["1 replica(s)", "flood:2", "kills 0"],
+            ),
+            (
+                &["chaos", "--smoke", "--replicas", "2"],
+                &[
+                    "2 replica(s)",
+                    "deploystorm:2",
+                    "kills 1",
+                    "revives 1",
+                    "promotions 2",
+                ],
+            ),
+        ];
+        for (args, expected) in rows {
+            let log = run(args).unwrap();
+            for needle in expected.iter().chain(&[
+                "reproducible : yes",
+                "invariants   : OK",
+                "smoke        : OK",
+            ]) {
+                assert!(
+                    log.contains(needle),
+                    "{args:?}: missing {needle:?} in\n{log}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -211,23 +173,23 @@ mod tests {
             "7",
         ])
         .unwrap();
-        assert!(log.contains("breaker: disabled"), "{log}");
+        assert!(log.contains("breaker disabled"), "{log}");
         assert!(log.contains("expired 2"), "{log}");
     }
 
     #[test]
     fn small_breaker_window_clamps_min_samples_and_trips() {
-        // Regression: --breaker-window below the default min_samples (8)
-        // used to be rejected outright; now it clamps and the breaker can
-        // actually trip within the shortened window.
+        // Regression: --breaker-window below min_samples used to be
+        // rejected outright; now it clamps and the breaker can actually
+        // trip within the shortened window.
         let log = run(&[
             "chaos",
             "--scenes",
-            "corrupt:6,calm:12",
+            "corrupt:3,calm:24",
             "--breaker-threshold",
             "0.25",
             "--breaker-window",
-            "4",
+            "2",
             "--breaker-cooldown",
             "2",
         ])
@@ -237,31 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn bad_scene_spec_is_rejected() {
-        assert!(matches!(
-            run(&["chaos", "--scenes", "riot:9"]),
-            Err(CliError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn fleet_smoke_run_kills_deploys_and_reproduces() {
-        let log = run(&["chaos", "--fleet", "--smoke"]).unwrap();
-        assert!(log.contains("fleet chaos"), "{log}");
-        assert!(log.contains("reproducible : yes"), "{log}");
-        assert!(log.contains("zero deploy casualties"), "{log}");
-        assert!(log.contains("smoke        : OK"), "{log}");
-    }
-
-    #[test]
-    fn fleet_rejects_lethal_schedules_and_bad_policies() {
-        assert!(matches!(
-            run(&["chaos", "--fleet", "--replicas", "1", "--scenes", "storm:2"]),
-            Err(CliError::Invalid(_))
-        ));
-        assert!(matches!(
-            run(&["chaos", "--fleet", "--dispatch", "round-robin"]),
-            Err(CliError::Invalid(_))
-        ));
+    fn bad_specs_lethal_schedules_and_bad_policies_are_rejected() {
+        for args in [
+            &["chaos", "--scenes", "riot:9"][..],
+            &["chaos", "--replicas", "1", "--scenes", "storm:2"],
+            &["chaos", "--replicas", "2", "--dispatch", "round-robin"],
+        ] {
+            assert!(matches!(run(args), Err(CliError::Invalid(_))), "{args:?}");
+        }
     }
 }

@@ -1,10 +1,14 @@
-//! `roadseg fleet-bench` — closed-loop load generator for the replica
-//! fleet.
+//! `roadseg fleet-bench` — the closed-loop load generator, for one server
+//! (`--replicas 1`) or a replica fleet.
 //!
 //! Spawns `--clients` synthetic client threads, each submitting
 //! `--requests` tagged frame pairs to a [`Fleet`] of `--replicas`
 //! servers and waiting for each prediction before sending the next
-//! (closed loop). The main thread doubles as a fault controller: with
+//! (closed loop), and reports client-side latency percentiles from
+//! [`Prediction::latency`](sf_serve::Prediction). `--deadline-ms` gives
+//! every request a deadline (an expiry is load shedding, not a client
+//! failure) and `--breaker-threshold` arms the per-source depth breakers.
+//! The main thread doubles as a fault controller: with
 //! `--kill` it kills the highest-index replica a quarter of the way
 //! through the run and revives it at the halfway mark; with `--deploy`
 //! it hot-swaps a retrained model at the three-quarter mark,
@@ -21,19 +25,21 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sf_core::{FusionNet, NetworkConfig};
+use sf_chaos::Ledger;
+use sf_core::{BreakerConfig, FusionNet, NetworkConfig};
 use sf_serve::{
-    Backpressure, DeployOptions, DispatchPolicy, Fleet, FleetConfig, FleetStats, Request,
-    ServeConfig, ServeError, SourceId,
+    Backpressure, DeployOptions, Fleet, FleetConfig, FleetStats, Request, ServeConfig, ServeError,
+    SourceId,
 };
 use sf_tensor::TensorRng;
 
+use crate::commands::chaos::dispatch;
 use crate::commands::network_config;
 use crate::model_io::save_model;
 use crate::{Args, CliError};
 
-/// One client's outcome: how many requests it drove to completion.
-type ClientResult = Result<u64, ServeError>;
+/// One client's outcome: the latency of every request it was served.
+type ClientResult = Result<Vec<Duration>, ServeError>;
 
 /// How long the fault controller waits for a completion milestone before
 /// declaring the fleet stalled. Generous: milestones are fractions of a
@@ -46,31 +52,20 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
     let scheme = args.scheme()?;
     let policy = args.policy()?;
     let replicas: usize = args.get_parsed("replicas", 2, "integer")?;
-    let dispatch = match args.get("dispatch") {
-        None => DispatchPolicy::ConsistentHash,
-        Some(spec) => DispatchPolicy::parse(spec).ok_or_else(|| {
-            CliError::Invalid(format!(
-                "unknown dispatch policy {spec:?} (expected hash|least)"
-            ))
-        })?,
-    };
+    let dispatch = dispatch(args)?;
     let clients: usize = args.get_parsed("clients", 4, "integer")?;
     let requests: usize = args.get_parsed("requests", if smoke { 6 } else { 16 }, "integer")?;
     let max_batch: usize = args.get_parsed("max-batch", 4, "integer")?;
     let max_wait_ms: u64 = args.get_parsed("max-wait-ms", 2, "integer")?;
     let queue: usize = args.get_parsed("queue", 64, "integer")?;
     let fleet_seed: u64 = args.get_parsed("seed", 0xF1EE_BE9C, "integer")?;
+    let deadline_ms: u64 = args.get_parsed("deadline-ms", 0, "integer")?;
     let kill = args.get_bool("kill");
     let deploy_model = args.get("deploy-model").map(str::to_string);
     let deploy = args.get_bool("deploy") || deploy_model.is_some();
     if clients == 0 || requests == 0 {
         return Err(CliError::Invalid(
             "fleet-bench needs at least one client and one request".to_string(),
-        ));
-    }
-    if replicas == 0 {
-        return Err(CliError::Invalid(
-            "fleet-bench needs at least one replica".to_string(),
         ));
     }
     if kill && replicas < 2 {
@@ -84,12 +79,20 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
         network_config(args)?
     };
     let net = FusionNet::new(scheme, &config)?;
-    let serve = ServeConfig::builder()
+    let mut builder = ServeConfig::builder()
         .max_batch(max_batch)
         .max_wait(Duration::from_millis(max_wait_ms))
         .queue_capacity(queue)
         .backpressure(Backpressure::Block)
-        .policy(policy)
+        .policy(policy);
+    if deadline_ms > 0 {
+        builder = builder.default_deadline(Duration::from_millis(deadline_ms));
+    }
+    if args.get("breaker-threshold").is_some() {
+        let threshold = args.get_parsed("breaker-threshold", 0.5, "float")?;
+        builder = builder.breaker(BreakerConfig::default().with_trip_threshold(threshold));
+    }
+    let serve = builder
         .build()
         .map_err(|e| CliError::Invalid(e.to_string()))?;
     let fleet_config = FleetConfig {
@@ -103,19 +106,14 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
     let fleet =
         Arc::new(Fleet::start(net, fleet_config).map_err(|e| CliError::Invalid(e.to_string()))?);
 
-    // Pre-generate every client's inputs outside the timed window, same
-    // as serve-bench: the req/s figure measures routing + serving.
+    // Pre-generate every client's inputs outside the timed window so the
+    // req/s figure measures routing + serving, not the load generator's
+    // random-tensor synthesis.
     let frames: Vec<Vec<_>> = (0..clients)
         .map(|client| {
-            let (h, w, dc) = (config.height, config.width, config.depth_channels);
             let mut rng = TensorRng::seed_from(0xF1EE ^ ((client as u64) << 8));
             (0..requests)
-                .map(|_| {
-                    (
-                        rng.uniform(&[3, h, w], 0.0, 1.0),
-                        rng.uniform(&[dc, h, w], 0.1, 1.0),
-                    )
-                })
+                .map(|_| sf_chaos::frame(&mut rng, &config))
                 .collect()
         })
         .collect();
@@ -127,10 +125,12 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
             let fleet = Arc::clone(&fleet);
             let source = SourceId(client as u64);
             std::thread::spawn(move || -> ClientResult {
-                let mut served = 0;
+                let mut served = Vec::with_capacity(frames.len());
                 for (rgb, depth) in frames {
                     let request = Request::new(rgb, depth).with_source(source);
                     match fleet.submit(request)?.wait() {
+                        // The source tag must round-trip through routing
+                        // and the batcher to the prediction.
                         Ok(p) if p.source != Some(source) => {
                             return Err(ServeError::BadRequest {
                                 reason: format!(
@@ -139,7 +139,10 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
                                 ),
                             })
                         }
-                        Ok(_) => served += 1,
+                        Ok(p) => served.push(p.latency),
+                        // Under a --deadline-ms an expiry is expected load
+                        // shedding, not a client failure; keep driving.
+                        Err(ServeError::DeadlineExceeded { .. }) => {}
                         Err(e) => return Err(e),
                     }
                 }
@@ -156,12 +159,17 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
     let mut events: Vec<String> = Vec::new();
     let wait_for = |target: u64| -> Result<(), CliError> {
         let deadline = Instant::now() + MILESTONE_TIMEOUT;
-        while fleet.stats().completed < target {
+        // Terminal legs, not just completions: under --deadline-ms an
+        // expired request still moves the run along.
+        let settled = || {
+            let s = fleet.stats();
+            s.completed + s.expired
+        };
+        while settled() < target {
             if Instant::now() > deadline {
                 return Err(CliError::Invalid(format!(
-                    "fleet-bench stalled waiting for {target} completions \
-                     (have {})",
-                    fleet.stats().completed
+                    "fleet-bench stalled waiting for {target} settled requests (have {})",
+                    settled()
                 )));
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -189,33 +197,32 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
         let mut retrained_config = config.clone();
         retrained_config.seed ^= 0xDEAD_BEEF;
         let mut retrained = FusionNet::new(scheme, &retrained_config)?;
-        match &deploy_model {
+        // File-based deploy: swap in whatever checkpoint sits at the path —
+        // staging the retrained net there first when the file is absent
+        // keeps smoke runs self-contained.
+        let (version, origin) = match &deploy_model {
             Some(path) => {
-                // File-based deploy: swap in whatever checkpoint sits at
-                // `path` — staging the retrained net there first when the
-                // file is absent keeps smoke runs self-contained.
                 if !Path::new(path).exists() {
                     save_model(&mut retrained, path)?;
                 }
-                let version = fleet
-                    .deploy_from_path(Path::new(path), DeployOptions::default())
-                    .map_err(|e| CliError::Invalid(format!("file deploy failed: {e}")))?;
-                events.push(format!("deploy v{version} @ {deploy_at} (from {path})"));
+                let options = DeployOptions::default();
+                let version = fleet.deploy_from_path(Path::new(path), options);
+                (version, format!(" (from {path})"))
             }
-            None => {
-                let version = fleet
-                    .deploy(retrained, DeployOptions::default())
-                    .map_err(|e| CliError::Invalid(format!("hot deploy failed: {e}")))?;
-                events.push(format!("deploy v{version} @ {deploy_at}"));
-            }
-        }
+            None => (
+                fleet.deploy(retrained, DeployOptions::default()),
+                String::new(),
+            ),
+        };
+        let version = version.map_err(|e| CliError::Invalid(format!("hot deploy failed: {e}")))?;
+        events.push(format!("deploy v{version} @ {deploy_at}{origin}"));
     }
 
-    let mut served_total = 0;
+    let mut latencies = Vec::new();
     let mut first_error = None;
     for worker in workers {
         match worker.join() {
-            Ok(Ok(served)) => served_total += served,
+            Ok(Ok(served)) => latencies.extend(served),
             Ok(Err(e)) => first_error = first_error.or(Some(e)),
             Err(_) => {
                 return Err(CliError::Invalid(
@@ -225,6 +232,7 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
         }
     }
     let wall = started.elapsed();
+    let served_total = latencies.len() as u64;
     let fleet = Arc::into_inner(fleet).expect("all client clones joined");
     let (_net, stats) = fleet.shutdown();
 
@@ -263,6 +271,21 @@ pub fn fleet_bench(args: &Args) -> Result<String, CliError> {
         wall.as_secs_f64() * 1e3,
         served_total as f64 / wall.as_secs_f64().max(1e-9)
     );
+    latencies.sort();
+    // Nearest-rank percentile of the client-observed latencies.
+    let percentile_ms = |q: f64| {
+        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len().max(1));
+        latencies
+            .get(rank - 1)
+            .map_or(0.0, |d| d.as_secs_f64() * 1e3)
+    };
+    let _ = writeln!(
+        log,
+        "latency (ms) : p50 {:.2}  p95 {:.2}  max {:.2}  (client side)",
+        percentile_ms(0.50),
+        percentile_ms(0.95),
+        percentile_ms(1.0)
+    );
     log.push_str(&render_fleet_stats(&stats));
     if smoke {
         let _ = writeln!(
@@ -294,18 +317,7 @@ fn smoke_check(
             stats.completed, stats.rejected, stats.failed
         )));
     }
-    if !stats.is_conserved() {
-        return Err(CliError::Invalid(format!(
-            "smoke: fleet legs not conserved: submitted {} vs completed {} + rejected {} \
-             + expired {} + failed {} + redirected {}",
-            stats.submitted,
-            stats.completed,
-            stats.rejected,
-            stats.expired,
-            stats.failed,
-            stats.redirected
-        )));
-    }
+    // Conservation is the cross-check's first identity.
     stats
         .cross_check()
         .map_err(|detail| CliError::Invalid(format!("smoke: cross-check failed: {detail}")))?;
@@ -321,16 +333,13 @@ fn smoke_check(
 /// Renders the fleet ledger plus one line per replica.
 fn render_fleet_stats(stats: &FleetStats) -> String {
     let mut log = String::new();
+    let _ = writeln!(log, "legs         : {}", Ledger::from(stats));
+    let quarantined: u64 = stats.replicas.iter().map(|r| r.quarantined).sum();
+    let batches: u64 = stats.replicas.iter().map(|r| r.batches).sum();
     let _ = writeln!(
         log,
-        "legs         : submitted {} = completed {} + rejected {} + expired {} \
-         + failed {} + redirected {}",
-        stats.submitted,
-        stats.completed,
-        stats.rejected,
-        stats.expired,
-        stats.failed,
-        stats.redirected
+        "batches      : {batches} (mean occupancy {:.2}, {quarantined} request(s) quarantined)",
+        stats.completed as f64 / batches.max(1) as f64
     );
     let _ = writeln!(
         log,
@@ -363,18 +372,49 @@ mod tests {
     }
 
     #[test]
-    fn smoke_serves_every_request_across_replicas() {
+    fn smoke_serves_every_request_on_one_server_and_across_replicas() {
+        // (replicas, clients, requests)
+        for (replicas, clients, requests) in [("1", "4", "8"), ("2", "3", "4")] {
+            let log = run(&[
+                "fleet-bench",
+                "--smoke",
+                "--replicas",
+                replicas,
+                "--clients",
+                clients,
+                "--requests",
+                requests,
+            ])
+            .unwrap();
+            let total = clients.parse::<u64>().unwrap() * requests.parse::<u64>().unwrap();
+            assert!(
+                log.contains(&format!("served       : {total}/{total}")),
+                "{log}"
+            );
+            assert!(log.contains(&format!("{replicas} replica(s)")), "{log}");
+            assert!(log.contains("+ rejected 0 + expired 0 + failed 0"), "{log}");
+            assert!(log.contains("latency (ms) : p50"), "{log}");
+            assert!(log.contains("smoke        : OK"), "{log}");
+        }
+    }
+
+    #[test]
+    fn deadlines_and_breakers_ride_on_the_one_load_generator() {
         let log = run(&[
             "fleet-bench",
             "--smoke",
-            "--clients",
-            "3",
-            "--requests",
-            "4",
+            "--replicas",
+            "1",
+            "--deadline-ms",
+            "10000",
+            "--breaker-threshold",
+            "0.5",
         ])
         .unwrap();
-        assert!(log.contains("served       : 12/12"), "{log}");
-        assert!(log.contains("smoke        : OK"), "{log}");
+        // A generous deadline sheds nothing; the breaker bank is armed
+        // (and, on healthy frames, stays closed).
+        assert!(log.contains("served       : 24/24"), "{log}");
+        assert!(log.contains("trips 0"), "{log}");
     }
 
     #[test]

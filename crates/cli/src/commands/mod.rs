@@ -9,7 +9,6 @@ mod infer;
 mod info;
 mod plan;
 mod quantize;
-mod serve_bench;
 mod soak;
 mod train;
 
@@ -21,7 +20,6 @@ pub use infer::infer;
 pub use info::info;
 pub use plan::plan;
 pub use quantize::quantize;
-pub use serve_bench::serve_bench;
 pub use soak::soak;
 pub use train::train;
 

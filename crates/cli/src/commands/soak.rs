@@ -1,104 +1,78 @@
 //! `roadseg soak` — drive the long-haul scenario stream (weather fronts,
-//! occluder traffic, multi-LiDAR rig, per-source fault bursts) against a
-//! replica fleet and report the windowed invariant verdicts.
+//! occluder traffic, multi-LiDAR rig, per-source fault bursts) through
+//! the chaos engine and report the per-window verdicts.
 //!
-//! The scenario always runs **twice** and the two ledger fingerprints
-//! must match bit-for-bit — reproducibility is itself a checked
-//! invariant, like `roadseg chaos`. `--smoke` shrinks the stream to a
-//! CI-sized run that still rolls a weather front, runs a dead-sensor
-//! burst and checks every window.
+//! A soak is the engine's rig-traffic recipe: every window is a scene, so
+//! every window boundary conserves, cross-checks and records the scratch
+//! peak. Like `roadseg chaos` it runs **twice** and the two fingerprints
+//! must match bit-for-bit. `--smoke` shrinks the stream to a CI-sized run
+//! that still rolls a weather front, runs a dead-sensor burst and checks
+//! every window.
 
 use std::fmt::Write as _;
 
-use sf_chaos::SoakConfig;
+use sf_chaos::{Scenario, Traffic};
 
+use crate::commands::chaos::run_and_render;
 use crate::{Args, CliError};
 
 /// Runs the soak scenario twice and renders the windowed report.
 pub fn soak(args: &Args) -> Result<String, CliError> {
     let smoke = args.get_bool("smoke");
-    let mut config = if smoke {
-        SoakConfig::smoke()
-    } else {
-        SoakConfig::full()
+    let mut scenario = Scenario::soak(smoke);
+    scenario.seed = args.get_parsed("seed", scenario.seed, "integer")?;
+    scenario.replicas = args.get_parsed("replicas", scenario.replicas, "integer")?;
+    let frames: u64 = args.get_parsed("frames", scenario.total_frames(), "integer")?;
+    let window: u64 = args.get_parsed("window", scenario.scenes[0].count() as u64, "integer")?;
+    // Bursts and fronts keep their relative positions in a resized run.
+    scenario = scenario.with_windows(frames, window);
+    let Traffic::Rig {
+        rig,
+        fronts,
+        bursts,
+    } = &mut scenario.traffic
+    else {
+        unreachable!("the soak recipe runs on rig traffic");
     };
-    let seed = args.get_parsed("seed", config.seed, "integer")?;
-    config = config.with_seed(seed);
     if args.get("rig").is_some() {
-        // Keep the soak's trimmed ray budget on a user-chosen rig.
+        // Keep the soak's trimmed ray budget on a user-chosen rig, and
+        // drop bursts on mounts the new rig does not have.
         let (rings, azimuth) = if smoke { (12, 48) } else { (24, 72) };
-        config = config.with_rig(args.rig()?.with_resolution(rings, azimuth));
+        *rig = args.rig()?.with_resolution(rings, azimuth);
+        bursts.retain(|b| rig.mounts().iter().any(|m| m.source == b.source));
     }
     if args.get("weather").is_some() {
-        config = config.with_constant_weather(args.weather()?);
-    }
-    let frames = args.get_parsed("frames", config.frames, "integer")?;
-    if frames != config.frames {
-        // Rescale the schedules with the run length so bursts and fronts
-        // keep their relative positions.
-        let scale = |f: u64| (f as f64 / config.frames as f64 * frames as f64) as u64;
-        for front in &mut config.fronts {
-            front.frame = scale(front.frame);
-        }
-        for burst in &mut config.bursts {
-            burst.frame = scale(burst.frame);
-        }
-        config.frames = frames;
-    }
-    config.window = args.get_parsed("window", config.window, "integer")?;
-    config.replicas = args.get_parsed("replicas", config.replicas, "integer")?;
-
-    let first = sf_chaos::run_soak(&config).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let second = sf_chaos::run_soak(&config).map_err(|e| CliError::Invalid(e.to_string()))?;
-    if first.fingerprint() != second.fingerprint() {
-        return Err(CliError::Invalid(format!(
-            "soak runs diverged under a deterministic scenario:\n  run 1: {}\n  run 2: {}",
-            first.fingerprint(),
-            second.fingerprint()
-        )));
+        fronts.clear();
+        fronts.push(sf_chaos::WeatherFront {
+            frame: 0,
+            weather: args.weather()?,
+        });
     }
 
     let mut log = String::new();
     let _ = writeln!(
         log,
-        "soak         : seed {:#x}, {} frames in {}-frame windows, {} replicas, {} rig mounts",
-        config.seed,
-        config.frames,
-        config.window,
-        config.replicas,
-        config.rig.len(),
+        "soak         : seed {:#x}, {frames} frames in {window}-frame windows, {} replicas, \
+         {} rig mounts",
+        scenario.seed,
+        scenario.replicas,
+        rig.len(),
     );
-    let fronts: Vec<String> = config
-        .fronts
+    let fronts: Vec<String> = fronts
         .iter()
         .map(|f| format!("{}@{}", f.weather, f.frame))
         .collect();
-    let bursts: Vec<String> = config
-        .bursts
+    let bursts: Vec<String> = bursts
         .iter()
         .map(|b| format!("src{}@{}+{}", b.source, b.frame, b.frames))
         .collect();
     let _ = writeln!(
         log,
-        "schedule     : weather [{}], fault bursts [{}], {} occluders",
+        "schedule     : weather [{}], fault bursts [{}]",
         fronts.join(","),
         bursts.join(","),
-        config.occluders,
     );
-    log.push_str(&first.render());
-    let _ = writeln!(
-        log,
-        "reproducible : yes (identical soak ledger across 2 runs)"
-    );
-    let _ = writeln!(
-        log,
-        "invariants   : OK (every window conserved + cross-checked, scratch peak plateaued, \
-         breaker cycles match the burst schedule)"
-    );
-    if smoke {
-        let _ = writeln!(log, "smoke        : OK");
-    }
-    Ok(log)
+    run_and_render(&scenario, log, smoke, false)
 }
 
 #[cfg(test)]
@@ -117,6 +91,8 @@ mod tests {
         assert!(log.contains("invariants   : OK"), "{log}");
         assert!(log.contains("smoke        : OK"), "{log}");
         assert!(log.contains("source 1"), "{log}");
+        // Six windows: the plateau was asserted, not skipped.
+        assert!(log.contains("plateaued at checkpoint 1 of 6"), "{log}");
     }
 
     #[test]
@@ -136,13 +112,15 @@ mod tests {
         .unwrap();
         assert!(log.contains("snow:0.5@0"), "{log}");
         assert!(log.contains("2 rig mounts"), "{log}");
+        assert!(log.contains("src1@12+12,src1@72+12"), "{log}");
         let bad = run(&["soak", "--smoke", "--weather", "plague:1.0"]);
         assert!(matches!(bad, Err(CliError::Args(_))), "{bad:?}");
     }
 
     #[test]
     fn undecidable_scenarios_are_rejected() {
-        // One window cannot carry the plateau comparison.
+        // The burst would end too close to the end of a 40-frame stream
+        // for its breaker to recover.
         let bad = run(&["soak", "--smoke", "--frames", "40", "--window", "40"]);
         assert!(matches!(bad, Err(CliError::Invalid(_))), "{bad:?}");
     }

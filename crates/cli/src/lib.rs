@@ -8,10 +8,10 @@
 //! roadseg quantize --model model.sfm --out q.sfm   # int8 checkpoint
 //! roadseg infer    --model model.sfm --rgb f.ppm --depth f.pgm --out o.ppm
 //! roadseg info     --scheme ws                     # architecture summary
-//! roadseg serve-bench --clients 8 --max-batch 8    # batched-serving bench
+//! roadseg fleet-bench --replicas 1 --max-batch 8   # batched-serving bench
 //! roadseg fleet-bench --replicas 3 --kill --deploy # replica-fleet bench
 //! roadseg chaos --smoke                            # deterministic chaos run
-//! roadseg chaos --fleet --smoke                    # fleet-level chaos run
+//! roadseg chaos --smoke --replicas 2               # same, with kill storms
 //! roadseg soak --smoke                             # long-haul scenario soak
 //! ```
 //!
@@ -91,10 +91,10 @@ COMMANDS:
   infer      run a checkpoint on a user-supplied rgb/depth frame pair
   info       print a model's architecture, parameter and MAC summary
   plan       dump a compiled inference plan or check it against the graph path
-  serve-bench  drive the batched inference server with synthetic clients
-  fleet-bench  drive a replica fleet, optionally killing/reviving/hot-swapping mid-run
-  chaos      run a seeded fault schedule against the server and check invariants
-  soak       long-haul weather/occluder/multi-LiDAR scenario against a fleet
+  fleet-bench  closed-loop load generator for one server (--replicas 1) or a
+             replica fleet, optionally killing/reviving/hot-swapping mid-run
+  chaos      run a seeded fault schedule through the chaos engine, twice
+  soak       the same engine on the long-haul weather/occluder/multi-LiDAR stream
 
 COMMON FLAGS:
   --scheme <baseline|au|ab|bs|ws>   fusion architecture   [default: au]
@@ -124,36 +124,39 @@ FLAGS BY COMMAND:
   plan:     [--dump] [--check] [--scheme ...] [--smoke]
             (--dump: op list + scratch schedule, both modes; --check: fails
              on any bitwise plan-vs-graph delta; --smoke: tiny network)
-  serve-bench: [--clients <n>] [--requests <n per client>] [--max-batch <n>]
-            [--max-wait-ms <n>] [--queue <n>] [--policy ...] [--smoke]
-            [--deadline-ms <n>] [--breaker-threshold <f>]
-            (--smoke: tiny network, fails unless every request is served)
   fleet-bench: [--replicas <n>] [--dispatch <hash|least>] [--clients <n>]
             [--requests <n per client>] [--max-batch <n>] [--max-wait-ms <n>]
-            [--queue <n>] [--policy ...] [--smoke] [--kill] [--deploy]
+            [--queue <n>] [--policy ...] [--deadline-ms <n>]
+            [--breaker-threshold <f>] [--smoke] [--kill] [--deploy]
             [--deploy-model <file.sfm>]
-            (--kill: kill + revive a replica mid-run; --deploy: hot-swap a
-             retrained model mid-run; --deploy-model: hot-swap from a
-             checkpoint file instead, staging one if absent; --smoke fails
-             unless every request is served and the fleet ledger reconciles)
-  chaos:    [--seed <u64>] [--scenes <calm:N,corrupt:N,stale:N,panic:N,slow:N,storm:N>]
-            [--deadline-ms <n, 0 = none>] [--breaker-threshold <f>]
-            [--breaker-window <n>] [--breaker-cooldown <n>] [--no-breaker]
-            [--queue <n>] [--max-batch <n>] [--smoke]
-            (runs the schedule twice; --smoke fails on any fingerprint mismatch)
-  chaos --fleet: [--replicas <n>] [--dispatch <hash|least>] [--seed <u64>]
-            [--scenes <calm:N,corrupt:N,storm:N,deploystorm:N,revive:N,shadow:N>]
-            [--queue <n>] [--max-batch <n>] [--no-breaker] [--smoke]
-            (fleet-level kill/revive/hot-swap/shadow schedule; always
-             deterministic — any fingerprint mismatch fails)
+            (--replicas 1 benches a single server; reports client-side
+             p50/p95/max latency; --deadline-ms: an expiry is load shedding,
+             not a client failure; --kill: kill + revive a replica mid-run;
+             --deploy: hot-swap a retrained model mid-run; --deploy-model:
+             hot-swap from a checkpoint file instead, staging one if absent;
+             --smoke: tiny network, fails unless every request is served and
+             the fleet ledger reconciles)
+  chaos:    [--seed <u64>] [--replicas <n>] [--dispatch <hash|least>]
+            [--scenes <kind:N,...>] [--deadline-ms <n, 0 = none>]
+            [--breaker-threshold <f>] [--breaker-window <n>]
+            [--breaker-cooldown <n>] [--no-breaker] [--queue <n>]
+            [--max-batch <n>] [--smoke]
+            (scene kinds: calm corrupt stale panic slow flood storm
+             deploystorm revive shadow; flood:N sheds exactly N at a full
+             queue, storm:N kills a replica under N queued frames and needs
+             >= 2 alive; --replicas 1 is a single server and the default
+             recipe leaves its kill storms out; runs the schedule twice, every
+             scene boundary must conserve and reconcile; any fingerprint
+             mismatch fails unless --deadline-ms is below 1000)
   soak:     [--seed <u64>] [--frames <n>] [--window <n>] [--replicas <n>]
             [--rig <single|dual|triple>] [--weather <clear|rain:S|fog:S|snow:S>]
             [--smoke]
-            (endless-road soak: weather fronts + occluders + per-source fault
-             bursts against a replica fleet; every window must conserve, the
-             scratch peak must plateau, breakers must cycle on schedule, and
-             two runs must produce identical ledgers; --weather pins one
-             weather for the whole run; --frames rescales the schedules)
+            (the chaos engine on rig traffic: weather fronts + occluders +
+             per-source fault bursts against a replica fleet; every window
+             must conserve, the scratch peak must plateau, breakers must cycle
+             on schedule, and two runs must produce identical fingerprints;
+             --weather pins one weather for the whole run; --frames rescales
+             the schedules)
 
 FAULT KINDS (for eval --fault):
   depth-dropout:<p>  dead-rows:<p>  gaussian-noise:<sigma>

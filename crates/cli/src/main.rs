@@ -38,7 +38,6 @@ fn run(raw: &[String]) -> Result<String, CliError> {
         "info" => commands::info(&args),
         "plan" => commands::plan(&args),
         "quantize" => commands::quantize(&args),
-        "serve-bench" => commands::serve_bench(&args),
         "fleet-bench" => commands::fleet_bench(&args),
         "chaos" => commands::chaos(&args),
         "soak" => commands::soak(&args),

@@ -292,7 +292,7 @@ impl fmt::Display for BreakerState {
 }
 
 /// One recorded breaker state change.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerTransition {
     /// State before the change.
     pub from: BreakerState,

@@ -6,7 +6,7 @@
 //! stream kept separate and tagged with its source id, so each sensor
 //! becomes its own `SourceId` at the server and the per-source circuit
 //! breakers see genuinely independent inputs. [`RigFrame::render`] is
-//! that assembly step — the soak harness drives it once per scene-clock
+//! that assembly step — the chaos engine drives it once per scene-clock
 //! frame.
 
 use sf_scene::{

@@ -38,12 +38,13 @@
 //! as `submitted + rejected + no_replica` without touching any server.
 //! [`FleetStats::cross_check`] additionally reconciles the fleet's
 //! counters against the per-replica [`StatsSnapshot`]s — the
-//! router-vs-replica tally the chaos harness asserts.
+//! router-vs-replica tally the chaos engine asserts at every scene
+//! boundary.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use sf_core::{load_checkpoint, BreakerState, FusionNet, Predictor};
+use sf_core::{load_checkpoint, BreakerState, BreakerTransition, FusionNet, Predictor};
 use sf_tensor::TensorRng;
 
 use crate::config::ServeConfig;
@@ -51,6 +52,7 @@ use crate::error::ServeError;
 use crate::handle::{Completion, Prediction};
 use crate::request::{Request, SourceId};
 use crate::server::Server;
+use crate::stats::{SlotBreakerStats, StatsSnapshot};
 
 /// How the router picks a replica for each leg. Both policies are
 /// deterministic given the fleet seed and the submission order.
@@ -269,6 +271,9 @@ pub struct ReplicaStats {
     /// Server-side `failed` (panics **and** aborted-at-kill requests),
     /// summed over incarnations.
     pub failed: u64,
+    /// Fulfilled requests whose depth slot was quarantined, summed over
+    /// incarnations.
+    pub quarantined: u64,
     /// Batches executed, summed over incarnations.
     pub batches: u64,
     /// Hot swaps claimed by the live incarnation's executor.
@@ -280,10 +285,16 @@ pub struct ReplicaStats {
     /// Breaker trips on the live incarnation, summed over slots.
     pub breaker_trips: u64,
     /// Per-slot breaker detail on the live incarnation, in slot-key
-    /// order (untagged first, then ascending [`SourceId`]). The soak
-    /// harness uses this to pin *which* source tripped a replica's
+    /// order (untagged first, then ascending [`SourceId`]). The chaos
+    /// engine uses this to pin *which* source tripped a replica's
     /// breaker, not just that one did.
-    pub breaker_slots: Vec<crate::stats::SlotBreakerStats>,
+    pub breaker_slots: Vec<SlotBreakerStats>,
+    /// The live incarnation's breaker transition logs, concatenated in
+    /// slot-key order, oldest first within a slot.
+    pub breaker_transitions: Vec<BreakerTransition>,
+    /// Largest scratch-arena high-water mark any incarnation's executor
+    /// thread published, bytes (see [`StatsSnapshot::scratch_peak_bytes`]).
+    pub scratch_peak_bytes: usize,
 }
 
 /// Fleet-wide counters plus per-replica roll-ups. See the
@@ -930,52 +941,12 @@ impl Fleet {
             .replicas
             .iter()
             .enumerate()
-            .map(|(index, replica)| {
-                let current = replica.current.stats();
-                let mut stats = ReplicaStats {
-                    index,
-                    alive: replica.alive,
-                    incarnations: replica.incarnation,
-                    submitted: current.submitted,
-                    completed: current.completed,
-                    rejected: current.rejected,
-                    expired: current.expired,
-                    failed: current.failed,
-                    batches: current.batches,
-                    swaps: current.swaps,
-                    model_version: current.model_version,
-                    breaker_state: current.breaker_state,
-                    breaker_trips: current.breaker_trips,
-                    breaker_slots: current.breaker_slots,
-                };
-                for past in &replica.past {
-                    let snap = past.stats();
-                    stats.submitted += snap.submitted;
-                    stats.completed += snap.completed;
-                    stats.rejected += snap.rejected;
-                    stats.expired += snap.expired;
-                    stats.failed += snap.failed;
-                    stats.batches += snap.batches;
-                }
-                stats
+            .map(|(index, r)| {
+                let past = r.past.iter().map(|server| server.stats());
+                roll_up(index, r.alive, r.incarnation, r.current.stats(), past)
             })
             .collect();
-        FleetStats {
-            submitted: core.counters.submitted,
-            completed: core.counters.completed,
-            rejected: core.counters.rejected,
-            expired: core.counters.expired,
-            failed: core.counters.failed,
-            redirected: core.counters.redirected,
-            no_replica: core.counters.no_replica,
-            model_version: core.model_version,
-            deploys: core.deploys,
-            promotions: core.promotions,
-            deploy_aborts: core.deploy_aborts,
-            shadow_samples: core.shadow_samples,
-            shadow_max_delta: core.shadow_max_delta,
-            replicas,
-        }
+        fleet_stats(&core, replicas)
     }
 
     /// Stops admissions fleet-wide (idempotent) and closes every replica,
@@ -1004,65 +975,78 @@ impl Fleet {
     pub fn shutdown(self) -> (FusionNet, FleetStats) {
         self.close();
         let replicas = std::mem::take(&mut self.lock().replicas);
-        let mut rollups = Vec::with_capacity(replicas.len());
-        for (index, replica) in replicas.into_iter().enumerate() {
-            let mut stats = ReplicaStats {
-                index,
-                alive: replica.alive,
-                incarnations: replica.incarnation,
-                submitted: 0,
-                completed: 0,
-                rejected: 0,
-                expired: 0,
-                failed: 0,
-                batches: 0,
-                swaps: 0,
-                model_version: 0,
-                breaker_state: None,
-                breaker_trips: 0,
-                breaker_slots: Vec::new(),
-            };
-            for past in replica.past {
-                let (_stale_net, snap) = unwrap_server(past).shutdown();
-                stats.submitted += snap.submitted;
-                stats.completed += snap.completed;
-                stats.rejected += snap.rejected;
-                stats.expired += snap.expired;
-                stats.failed += snap.failed;
-                stats.batches += snap.batches;
-            }
-            let (_net, snap) = unwrap_server(replica.current).shutdown();
-            stats.submitted += snap.submitted;
-            stats.completed += snap.completed;
-            stats.rejected += snap.rejected;
-            stats.expired += snap.expired;
-            stats.failed += snap.failed;
-            stats.batches += snap.batches;
-            stats.swaps = snap.swaps;
-            stats.model_version = snap.model_version;
-            stats.breaker_state = snap.breaker_state;
-            stats.breaker_trips = snap.breaker_trips;
-            stats.breaker_slots = snap.breaker_slots;
-            rollups.push(stats);
-        }
+        let rollups = replicas
+            .into_iter()
+            .enumerate()
+            .map(|(index, r)| {
+                let joined = |server| unwrap_server(server).shutdown().1;
+                let past = r.past.into_iter().map(joined);
+                roll_up(index, r.alive, r.incarnation, joined(r.current), past)
+            })
+            .collect();
         let core = self.lock();
-        let stats = FleetStats {
-            submitted: core.counters.submitted,
-            completed: core.counters.completed,
-            rejected: core.counters.rejected,
-            expired: core.counters.expired,
-            failed: core.counters.failed,
-            redirected: core.counters.redirected,
-            no_replica: core.counters.no_replica,
-            model_version: core.model_version,
-            deploys: core.deploys,
-            promotions: core.promotions,
-            deploy_aborts: core.deploy_aborts,
-            shadow_samples: core.shadow_samples,
-            shadow_max_delta: core.shadow_max_delta,
-            replicas: rollups,
-        };
-        (core.live_net.clone(), stats)
+        (core.live_net.clone(), fleet_stats(&core, rollups))
+    }
+}
+
+/// One replica's [`ReplicaStats`]: terminal counters summed over every
+/// incarnation's snapshot, live-incarnation metadata from `current`.
+fn roll_up(
+    index: usize,
+    alive: bool,
+    incarnations: u64,
+    current: StatsSnapshot,
+    past: impl Iterator<Item = StatsSnapshot>,
+) -> ReplicaStats {
+    let mut stats = ReplicaStats {
+        index,
+        alive,
+        incarnations,
+        submitted: current.submitted,
+        completed: current.completed,
+        rejected: current.rejected,
+        expired: current.expired,
+        failed: current.failed,
+        quarantined: current.quarantined,
+        batches: current.batches,
+        swaps: current.swaps,
+        model_version: current.model_version,
+        breaker_state: current.breaker_state,
+        breaker_trips: current.breaker_trips,
+        breaker_slots: current.breaker_slots,
+        breaker_transitions: current.breaker_transitions,
+        scratch_peak_bytes: current.scratch_peak_bytes,
+    };
+    for snap in past {
+        stats.submitted += snap.submitted;
+        stats.completed += snap.completed;
+        stats.rejected += snap.rejected;
+        stats.expired += snap.expired;
+        stats.failed += snap.failed;
+        stats.quarantined += snap.quarantined;
+        stats.batches += snap.batches;
+        stats.scratch_peak_bytes = stats.scratch_peak_bytes.max(snap.scratch_peak_bytes);
+    }
+    stats
+}
+
+/// The fleet-side ledger plus the given per-replica roll-ups.
+fn fleet_stats(core: &Core, replicas: Vec<ReplicaStats>) -> FleetStats {
+    FleetStats {
+        submitted: core.counters.submitted,
+        completed: core.counters.completed,
+        rejected: core.counters.rejected,
+        expired: core.counters.expired,
+        failed: core.counters.failed,
+        redirected: core.counters.redirected,
+        no_replica: core.counters.no_replica,
+        model_version: core.model_version,
+        deploys: core.deploys,
+        promotions: core.promotions,
+        deploy_aborts: core.deploy_aborts,
+        shadow_samples: core.shadow_samples,
+        shadow_max_delta: core.shadow_max_delta,
+        replicas,
     }
 }
 
@@ -1302,12 +1286,15 @@ mod tests {
             rejected: 0,
             expired: 0,
             failed: 0,
+            quarantined: 0,
             batches: 1,
             swaps: 0,
             model_version: 0,
             breaker_state: None,
             breaker_trips: 0,
             breaker_slots: Vec::new(),
+            breaker_transitions: Vec::new(),
+            scratch_peak_bytes: 0,
         };
         let mut stats = FleetStats {
             submitted: 4,

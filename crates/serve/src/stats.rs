@@ -1,10 +1,11 @@
 //! Serving statistics: counters plus a latency reservoir, snapshotted on
 //! demand.
 //!
-//! The counters obey a conservation law the chaos harness asserts after
-//! every run: once the server is quiescent (no requests in flight),
-//! `submitted == completed + rejected + expired + failed`. Every admitted
-//! request reaches exactly one of those terminal states.
+//! The counters obey a conservation law: once the server is quiescent
+//! (no requests in flight), `submitted == completed + rejected + expired
+//! + failed`. Every admitted request reaches exactly one of those
+//! terminal states. (The fleet's leg ledger extends the law with
+//! `redirected`; that is the form the chaos engine asserts.)
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -71,10 +72,12 @@ pub struct StatsSnapshot {
     pub breaker_transitions: Vec<BreakerTransition>,
     /// Per-slot breaker detail, in slot-key order.
     pub breaker_slots: Vec<SlotBreakerStats>,
-    /// High-water mark of the scratch-arena pool across all threads,
-    /// bytes, at snapshot time (see [`sf_tensor::scratch::pool_stats`]).
-    /// Thread-scheduling dependent — excluded from determinism
-    /// fingerprints; the soak harness asserts it *plateaus* instead.
+    /// High-water mark of this server's *own* scratch arena, bytes: the
+    /// executor thread's [`sf_tensor::scratch::stats`] peak, published at
+    /// every batch boundary. Scoped to the server, so concurrent servers
+    /// (or tests) in one process never see each other's allocations.
+    /// Excluded from determinism fingerprints; the chaos engine asserts
+    /// it *plateaus* instead.
     pub scratch_peak_bytes: usize,
     /// Version of the model currently serving (0 until the first
     /// [`Server::stage_model`] swap is claimed by the executor).
@@ -112,6 +115,7 @@ struct StatsData {
     batches: u64,
     batched_requests: u64,
     latencies_ms: Vec<f64>,
+    scratch_peak_bytes: usize,
     model_version: u64,
     swaps: u64,
 }
@@ -145,10 +149,13 @@ impl StatsCollector {
         self.data.lock().expect("stats poisoned").expired += 1;
     }
 
+    /// Called by the executor thread once per batch; also publishes that
+    /// thread's scratch-arena peak, which only the executor can read.
     pub(crate) fn record_batch(&self, occupancy: usize) {
         let mut data = self.data.lock().expect("stats poisoned");
         data.batches += 1;
         data.batched_requests += occupancy as u64;
+        data.scratch_peak_bytes = sf_tensor::scratch::stats().peak_bytes;
     }
 
     pub(crate) fn record_completed(&self, latency: Duration, quarantined: bool) {
@@ -200,7 +207,7 @@ impl StatsCollector {
             breaker_trips: 0,
             breaker_transitions: Vec::new(),
             breaker_slots: Vec::new(),
-            scratch_peak_bytes: sf_tensor::scratch::pool_stats().peak_bytes,
+            scratch_peak_bytes: data.scratch_peak_bytes,
             model_version: data.model_version,
             swaps: data.swaps,
         }

@@ -64,10 +64,9 @@ thread_local! {
 }
 
 // Process-wide mirrors of the per-thread counters, maintained with
-// relaxed atomics on every take/recycle. They let a serving stack report
-// one arena high-water mark across all worker threads — the soak
-// harness's bounded-memory probe. Relaxed is enough: the values are
-// monitoring data, never used for synchronisation.
+// relaxed atomics on every take/recycle. They let a process report one
+// arena high-water mark across all its threads. Relaxed is enough: the
+// values are monitoring data, never used for synchronisation.
 static GLOBAL_HELD_BYTES: AtomicUsize = AtomicUsize::new(0);
 static GLOBAL_PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 static GLOBAL_BUFFERS: AtomicUsize = AtomicUsize::new(0);
@@ -148,11 +147,12 @@ pub fn reset_peak() {
     PEAK_BYTES.with(|p| p.set(thread_held_bytes()));
 }
 
-/// Process-wide arena counters aggregated over every thread — the
-/// bounded-memory probe the soak harness asserts on. `peak_bytes` is
-/// monotone within a process (no global reset: a concurrent reset would
-/// race with worker threads); a plateauing peak is the signal that
-/// steady-state serving has stopped growing the arena.
+/// Process-wide arena counters aggregated over every thread.
+/// `peak_bytes` is monotone within a process (no global reset: a
+/// concurrent reset would race with worker threads). Because every
+/// thread in the process feeds it, it cannot attribute growth to one
+/// server or test; invariants that need that (the chaos engine's
+/// plateau check) read per-thread [`stats`] instead.
 pub fn pool_stats() -> ScratchStats {
     ScratchStats {
         held_bytes: GLOBAL_HELD_BYTES.load(Ordering::Relaxed),

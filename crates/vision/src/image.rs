@@ -135,7 +135,8 @@ impl GrayImage {
     ///
     /// The tensor's buffer comes from the scratch pool when one is
     /// available, so streaming pipelines that recycle their frame
-    /// tensors (the soak harness) run at a bounded arena footprint.
+    /// tensors (the chaos engine's rig traffic) run at a bounded arena
+    /// footprint.
     pub fn to_tensor(&self) -> Tensor {
         let mut data = sf_tensor::scratch::take_spare(self.data.len());
         data.extend_from_slice(&self.data);

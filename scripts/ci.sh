@@ -53,35 +53,56 @@ echo "==> plan check (compiled plan vs graph path, bitwise)"
 # nonzero delta or a scratch high-water mark above the reservation.
 ./target/release/roadseg plan --check --smoke
 
-echo "==> serve-bench smoke (dynamic batching server end-to-end)"
-# Tiny net, 4 clients x 8 requests; --smoke exits non-zero unless every
-# request was served (zero dropped, rejected, or poisoned).
-./target/release/roadseg serve-bench --smoke
-
-echo "==> chaos smoke (seeded fault schedule, conservation + reproducibility)"
-# Runs the smoke schedule twice through sf-chaos; exits non-zero if any
-# request is lost, the tally is not conserved, or the two runs' fault
-# fingerprints differ.
+echo "==> chaos smoke on 1 replica (seeded fault schedule, conservation + reproducibility)"
+# Runs the smoke schedule twice through the sf-chaos engine against a
+# fleet of one; exits non-zero if any request is lost, any scene boundary
+# fails to conserve or reconcile, a scene contract breaks (exact flood
+# shed count, stale work executed, a panicked batch served), or the two
+# runs' fingerprints differ.
 ./target/release/roadseg chaos --smoke
 
-echo "==> fleet chaos smoke (replica kills, hot swap, shadow deploy)"
-# Runs the fleet smoke schedule twice; exits non-zero on a conservation
-# violation, a router-vs-replica reconciliation mismatch, a deploy
-# casualty, a nonzero shadow diff, or same-seed fingerprint divergence.
-./target/release/roadseg chaos --fleet --smoke
+echo "==> chaos smoke on 2 replicas (replica kill, hot swap, shadow deploy)"
+# The same engine and schedule plus its kill storm; exits non-zero on a
+# deploy casualty, a nonzero shadow diff, a leg that failed instead of
+# redirecting, or same-seed fingerprint divergence. Seed 7 routes queued
+# work onto the victim, so the kill really redirects.
+./target/release/roadseg chaos --smoke --replicas 2 --seed 7
 
 echo "==> soak smoke (weather fronts + multi-LiDAR rig + fault bursts, long-haul)"
-# Runs the CI-sized 240-frame scenario twice against a 3-replica fleet;
-# exits non-zero unless every window conserves the fleet ledger, the
-# scratch-arena peak plateaus, the burst source's breaker trips and
-# re-closes, and the two runs' ledger fingerprints are identical.
+# The engine on rig traffic: the CI-sized 240-frame scenario twice against
+# a 3-replica fleet; exits non-zero unless every window conserves the
+# fleet ledger, the scratch-arena peak plateaus, the burst source's
+# breaker trips and re-closes, and the two runs' fingerprints are
+# identical.
 ./target/release/roadseg soak --smoke
 
-echo "==> fleet-bench smoke (routing + mid-run kill/revive/hot-swap)"
+echo "==> load-generator smoke on 1 replica (dynamic batching server end-to-end)"
+# Tiny net, 4 clients x 6 requests through a fleet of one; --smoke exits
+# non-zero unless every request was served (zero dropped, rejected, or
+# poisoned) and the ledger reconciles.
+./target/release/roadseg fleet-bench --smoke --replicas 1
+
+echo "==> load-generator smoke on 2 replicas (routing + mid-run kill/revive/hot-swap)"
 # 2 replicas under live load with a kill, a revival and a retrained-model
 # hot swap mid-run; --smoke exits non-zero unless every request is served
 # and the fleet ledger reconciles with zero failed legs.
 ./target/release/roadseg fleet-bench --smoke --kill --deploy --replicas 2
+
+echo "==> chaos + CLI suites, 10x under SF_THREADS=1,2,4 (no flaky invariants)"
+# The engine's invariants (per-run scratch plateau included) must hold on
+# any pool size and under any test interleaving, every time.
+for threads in 1 2 4; do
+    for run in $(seq 1 10); do
+        SF_THREADS=$threads cargo test -q -p sf-chaos -p sf-cli > /dev/null 2>&1 || {
+            echo "error: sf-chaos/sf-cli tests failed (SF_THREADS=$threads, run $run)" >&2
+            exit 1
+        }
+    done
+    echo "    ok: 10/10 green with SF_THREADS=$threads"
+done
+
+echo "==> repo benchmark smoke (all four workloads build, run and self-check)"
+bash benchmark/run.sh --smoke
 
 echo "==> int8 quantization smoke (exp_quant sweep at quick scale)"
 # Runs the calibration-size x batch-size sweep end to end: weight

@@ -3,7 +3,7 @@
 
 use sf_bench::experiments::fleet::{self, KillSchedule};
 use sf_bench::experiments::{
-    chaos, fault_matrix, fig3, fig6, fig7, fig8, fig9, quant, serving, table1,
+    chaos, fault_matrix, fig3, fig6, fig7, fig8, fig9, quant, serving, soak, table1,
 };
 use sf_bench::ExperimentScale;
 use sf_core::FusionScheme;
@@ -177,8 +177,8 @@ fn fleet_smoke() {
     // The kill+swap cells actually killed a replica, promoted the
     // retrained model and shadow-diffed zero. (Whether the kill strands
     // queued work to redirect depends on where the hash places the small
-    // quick-scale flood; redirect coverage is asserted in the sf-chaos
-    // harness tests with schedules tuned for it.)
+    // quick-scale storm; redirect coverage is asserted in the sf-chaos
+    // engine tests with schedules tuned for it.)
     for dispatch in [
         DispatchPolicy::ConsistentHash,
         DispatchPolicy::LeastOutstanding,
@@ -208,21 +208,51 @@ fn chaos_smoke() {
         // run() already fails hard on conservation violations; assert the
         // rendered tally agrees anyway, and that the quick grid's generous
         // deadlines replay bit-identically.
-        assert!(cell.report.tally.is_conserved(), "{cell:?}");
+        let ledger = cell.report.ledger();
+        assert!(ledger.is_conserved(), "{cell:?}");
         assert!(cell.reproducible, "quick cells are deterministic: {cell:?}");
-        // Every schedule carries a panic, stale and storm scene, so each
+        // Every schedule carries a panic, stale and flood scene, so each
         // terminal bucket is exercised in every cell.
-        assert!(cell.report.tally.failed > 0, "{cell:?}");
-        assert!(cell.report.tally.expired > 0, "{cell:?}");
-        assert!(cell.report.tally.rejected > 0, "{cell:?}");
+        assert!(ledger.failed > 0, "{cell:?}");
+        assert!(ledger.expired > 0, "{cell:?}");
+        assert!(ledger.rejected > 0, "{cell:?}");
     }
     // The corrupt half of the traffic is quarantined; clean traffic is not.
     let faulty = result.cell(0.5, 10_000, 0.5).expect("grid cell");
     let clean = result.cell(0.0, 10_000, 0.5).expect("grid cell");
-    assert!(faulty.report.quarantined > 0, "{faulty:?}");
-    assert_eq!(clean.report.quarantined, 0, "{clean:?}");
+    assert!(faulty.report.quarantined() > 0, "{faulty:?}");
+    assert_eq!(clean.report.quarantined(), 0, "{clean:?}");
     let text = chaos::render(&result);
     assert!(text.contains("fault"));
     assert!(text.contains("conservation"));
     assert!(text.contains("reproducible"));
+}
+
+#[test]
+fn soak_smoke() {
+    let result = soak::run(SCALE);
+    // Quick grid: {clear, fog:0.7} x dual rig.
+    assert_eq!(result.cells.len(), 2);
+    assert_eq!(result.reproducible_cells(), 2);
+    for cell in &result.cells {
+        // run() already fails hard on any window's conservation or
+        // cross-check, on arena growth and on an off-schedule breaker;
+        // assert the recorded report agrees.
+        assert!(cell.report.ledger().is_conserved(), "{cell:?}");
+        cell.report.stats.cross_check().expect("reconciled");
+        assert_eq!(
+            cell.report.stats.completed,
+            result.frames * cell.rig_size as u64
+        );
+        // Four windows, so the plateau was asserted — in this process,
+        // beside every other experiment's allocations.
+        assert_eq!(cell.report.checkpoints.len(), 4, "{cell:?}");
+        assert_eq!(cell.report.plateau, 0, "{cell:?}");
+        assert!(cell.report.source_trips[&1] > 0, "burst source must trip");
+        assert_eq!(cell.report.source_trips[&0], 0, "clean source never trips");
+    }
+    let text = soak::render(&result);
+    assert!(text.contains("fog:0.7"), "{text}");
+    assert!(text.contains("plateaued"), "{text}");
+    assert!(text.contains("2/2 cells"), "{text}");
 }
