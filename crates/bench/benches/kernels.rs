@@ -4,7 +4,11 @@
 //! on every call (the strategy the pool replaced).
 
 use sf_bench::BenchHarness;
-use sf_tensor::{conv2d, conv2d_backward, matmul, max_pool2d, Conv2dSpec, Tensor, TensorRng};
+use sf_tensor::int8::{matmul_i8_into, quantize_i8};
+use sf_tensor::testkit::PLAN_GEMM_SHAPES;
+use sf_tensor::{
+    conv2d, conv2d_backward, matmul, matmul_into, max_pool2d, Conv2dSpec, Tensor, TensorRng,
+};
 
 fn bench_conv_forward(h: &mut BenchHarness) {
     // The actual stage geometries of the standard fusion network.
@@ -57,6 +61,63 @@ fn bench_matmul(h: &mut BenchHarness) {
     let b = rng.uniform(&[128, 512], -1.0, 1.0);
     h.bench("matmul_72x128x512", || {
         matmul(&a, &b).expect("shapes agree")
+    });
+}
+
+fn bench_plan_shapes(h: &mut BenchHarness) {
+    // One image's worth of the compiled plan's GEMM and quantize work,
+    // straight through the kernel seam (`sf_tensor::kernel_isa()` names
+    // the ISA level these rows ran at).
+    let mut rng = TensorRng::seed_from(8);
+    let mut f32_ops: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = PLAN_GEMM_SHAPES
+        .iter()
+        .map(|&(m, k, n)| {
+            let a = rng.uniform(&[m, k], -1.0, 1.0).into_vec();
+            let b = rng.uniform(&[k, n], -1.0, 1.0).into_vec();
+            (a, b, vec![0.0f32; m * n])
+        })
+        .collect();
+    h.bench("plan_shapes/matmul_f32_21convs", || {
+        for (&(m, k, n), (a, b, out)) in PLAN_GEMM_SHAPES.iter().zip(f32_ops.iter_mut()) {
+            out.fill(0.0);
+            matmul_into(a, b, out, m, k, n);
+        }
+    });
+    let to_i8 = |v: &[f32]| -> Vec<i8> { v.iter().map(|&x| (x * 127.0) as i8).collect() };
+    let mut i8_ops: Vec<(Vec<i8>, Vec<i8>, Vec<i32>)> = f32_ops
+        .iter()
+        .map(|(a, b, out)| (to_i8(a), to_i8(b), vec![0i32; out.len()]))
+        .collect();
+    h.bench("plan_shapes/matmul_i8_21convs", || {
+        for (&(m, k, n), (a, b, out)) in PLAN_GEMM_SHAPES.iter().zip(i8_ops.iter_mut()) {
+            out.fill(0);
+            matmul_i8_into(a, b, out, m, k, n);
+        }
+    });
+    for &(name, m, k, n) in &[
+        ("dec4_8x72x3072", 8usize, 72usize, 3072usize),
+        ("enc1_12x72x768", 12, 72, 768),
+        ("enc4_32x216x12", 32, 216, 12),
+    ] {
+        let a = rng.uniform(&[m, k], -1.0, 1.0).into_vec();
+        let b = rng.uniform(&[k, n], -1.0, 1.0).into_vec();
+        let mut out = vec![0.0f32; m * n];
+        h.bench(&format!("plan_shapes/matmul_f32_{name}"), || {
+            out.fill(0.0);
+            matmul_into(&a, &b, &mut out, m, k, n);
+        });
+        let (qa, qb) = (to_i8(&a), to_i8(&b));
+        let mut acc = vec![0i32; m * n];
+        h.bench(&format!("plan_shapes/matmul_i8_{name}"), || {
+            acc.fill(0);
+            matmul_i8_into(&qa, &qb, &mut acc, m, k, n);
+        });
+    }
+    // dec4's input plane: the largest activation the int8 plan quantizes.
+    let plane = rng.uniform(&[8 * 32 * 96], -3.0, 3.0).into_vec();
+    let mut q = vec![0i8; plane.len()];
+    h.bench("plan_shapes/quantize_i8_24576", || {
+        quantize_i8(&plane, 3.0 / 127.0, &mut q);
     });
 }
 
@@ -163,6 +224,7 @@ fn main() {
     bench_conv_backward(&mut h);
     bench_fusion_filter(&mut h);
     bench_matmul(&mut h);
+    bench_plan_shapes(&mut h);
     bench_max_pool(&mut h);
     bench_elementwise_fusion(&mut h);
     bench_pool_vs_spawn(&mut h);

@@ -256,22 +256,27 @@ pub fn render(result: &QuantResult) -> String {
     if headline.int8_ips >= headline.f32_ips {
         out.push_str(&format!(
             "\nnote: int8 is faster than f32 on the largest batch cell \
-             (calib {}, batch {}: {:.1} vs {:.1} img/s).\n",
-            headline.calib, headline.batch, headline.int8_ips, headline.f32_ips
-        ));
-    } else {
-        out.push_str(&format!(
-            "\nnote: int8 trails f32 on the largest batch cell (calib {}, batch {}: \
-             {:.1} vs {:.1} img/s). This build runs scalar kernels on a single \
-             core with no int8 dot-product hardware, so the i8 matmul moves \
-             fewer bytes but retires the same multiply count, and each image \
-             pays an extra O(C*H*W) activation-quantize pass; the deploy wins \
-             here are the {:.2}x weight compression and the bounded accuracy \
-             delta, not wall-clock.\n",
+             (calib {}, batch {}: {:.1} vs {:.1} img/s; kernel ISA: {}).\n",
             headline.calib,
             headline.batch,
             headline.int8_ips,
             headline.f32_ips,
+            sf_tensor::kernel_isa()
+        ));
+    } else {
+        out.push_str(&format!(
+            "\nnote: int8 trails f32 on the largest batch cell (calib {}, batch {}: \
+             {:.1} vs {:.1} img/s). Both precisions run the same register-tiled \
+             GEMM (kernel ISA: {}): the i8 operands are widened to i32 lanes, so \
+             int8 retires the same multiply count as f32 and wins only the \
+             narrower im2col traffic, less its activation-quantize and dequantize \
+             passes; the deploy wins are the {:.2}x weight compression and the \
+             bounded accuracy delta.\n",
+            headline.calib,
+            headline.batch,
+            headline.int8_ips,
+            headline.f32_ips,
+            sf_tensor::kernel_isa(),
             result.compression()
         ));
     }

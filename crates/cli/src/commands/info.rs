@@ -37,6 +37,7 @@ pub fn info(args: &Args) -> Result<String, CliError> {
     }
     let _ = writeln!(log, "parameters   : {}", net.param_count());
     let _ = writeln!(log, "MACs / image : {}", cost.macs);
+    let _ = writeln!(log, "kernel ISA   : {}", sf_tensor::kernel_isa());
     let _ = writeln!(log, "\nzoo comparison (same config):");
     for other in FusionScheme::ALL {
         let c = FusionNet::new(other, &config)?.cost();
@@ -66,6 +67,7 @@ mod tests {
         assert!(log.contains("WeightedSharing"));
         assert!(log.contains("layer sharing"));
         assert!(log.contains("<-- selected"));
+        assert!(log.contains("kernel ISA   : "));
         for abbrev in ["Baseline", "AU", "AB", "BS", "WS"] {
             assert!(log.contains(abbrev), "missing {abbrev}");
         }

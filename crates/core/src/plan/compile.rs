@@ -607,7 +607,7 @@ impl Builder {
         Ref::Slot(out)
     }
 
-    fn mul_add(&mut self, label: String, r: Ref, d: Ref, weight: Ref, elems: usize) -> Ref {
+    fn weighted_add(&mut self, label: String, r: Ref, d: Ref, weight: Ref, elems: usize) -> Ref {
         let out = self.new_val(elems);
         self.ops.push(PlanOp::MulAdd {
             label,
@@ -771,7 +771,8 @@ fn build_ops(net: &FusionNet, with_depth: bool) -> (Builder, usize) {
                     let wv =
                         b.awn_weight(format!("fuse{i}.awn"), awn, r_feat.0, d_feat.0, r_feat.1);
                     let elems = r_feat.1 .0 * r_feat.1 .1 * r_feat.1 .2;
-                    let fused = b.mul_add(format!("fuse{i}.sum"), r_feat.0, d_feat.0, wv, elems);
+                    let fused =
+                        b.weighted_add(format!("fuse{i}.sum"), r_feat.0, d_feat.0, wv, elems);
                     r = (fused, r_feat.1);
                     d = d_feat;
                 }

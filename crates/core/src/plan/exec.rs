@@ -8,9 +8,12 @@
 //! is computed, never to the sequence of operations that produce it.
 
 use sf_tensor::int8::{im2col_i8_into, matmul_i8_into, quantize_i8};
-use sf_tensor::{im2col_into, matmul_into, matmul_transpose_b, Tensor, TensorError};
+use sf_tensor::{
+    conv_epilogue, im2col_into, matmul_into, matmul_transpose_b, ConvEpilogue, Dequant, Tensor,
+    TensorError,
+};
 
-use super::compile::{CompiledPlan, ConvOp, PlanOp, QConvOp, Ref};
+use super::compile::{BnFold, CompiledPlan, ConvOp, PlanOp, QConvOp, Ref};
 use super::quant::{INPUT_DEPTH, INPUT_RGB};
 
 /// Bit-for-bit the same function as the autograd graph's private
@@ -393,6 +396,30 @@ fn exec_op(
     }
 }
 
+/// The part of a convolution's epilogue both lowerings share, borrowed
+/// from the op: `+bias`, folded BatchNorm, ReLU, and image `plane`'s
+/// span of the folded `+accumulate` sum.
+fn epilogue<'a>(
+    bias: &'a Option<Vec<f32>>,
+    bn: &'a Option<BnFold>,
+    relu: bool,
+    accumulate: Option<&'a [f32]>,
+    plane: std::ops::Range<usize>,
+) -> ConvEpilogue<'a> {
+    ConvEpilogue {
+        dequant: None,
+        bias: bias.as_deref(),
+        bn: bn.as_ref().map(|bn| sf_tensor::BnFold {
+            mean: &bn.mean,
+            scale: &bn.scale,
+            gamma: &bn.gamma,
+            beta: &bn.beta,
+        }),
+        relu,
+        accumulate: accumulate.map(|a| &a[plane]),
+    }
+}
+
 /// The convolution kernel with its fused epilogue. Per image:
 /// `im2col → matmul` (the reference's exact unfold and accumulate
 /// order), then one pass applying `+bias`, the folded BatchNorm
@@ -427,8 +454,6 @@ fn exec_conv(
         let cb = unsafe {
             std::slice::from_raw_parts_mut(ws_ptr.get().add(img * ws_per_image), patch * cols)
         };
-        // im2col leaves padding taps untouched — pre-zero the region.
-        cb.fill(0.0);
         im2col_into(
             &input[img * in_plane..(img + 1) * in_plane],
             g.in_c,
@@ -442,34 +467,14 @@ fn exec_conv(
             0,
         );
         matmul_into(wm, cb, dst, g.out_c, patch, cols);
-        if let Some(bias) = &op.bias {
-            for (oc, &bv) in bias.iter().enumerate() {
-                for v in &mut dst[oc * cols..(oc + 1) * cols] {
-                    *v += bv;
-                }
-            }
-        }
-        if let Some(bn) = &op.bn {
-            for oc in 0..g.out_c {
-                let (m, s, ga, be) = (bn.mean[oc], bn.scale[oc], bn.gamma[oc], bn.beta[oc]);
-                for v in &mut dst[oc * cols..(oc + 1) * cols] {
-                    *v = ((*v - m) * s) * ga + be;
-                }
-            }
-        }
-        if op.relu {
-            for v in dst.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        if let Some(a) = acc {
-            for (v, &av) in dst
-                .iter_mut()
-                .zip(&a[img * out_plane..(img + 1) * out_plane])
-            {
-                *v += av;
-            }
-        }
+        let tail = epilogue(
+            &op.bias,
+            &op.bn,
+            op.relu,
+            acc,
+            img * out_plane..(img + 1) * out_plane,
+        );
+        conv_epilogue(dst, cols, tail);
     });
     slots[op.out] = out;
 }
@@ -496,7 +501,7 @@ fn exec_qconv(
     let out_plane = g.out_plane();
     let (patch, cols) = (g.patch(), g.cols());
     let mut out = std::mem::take(&mut slots[op.out]);
-    out.clear();
+    // The dequantizing epilogue overwrites every element: size, don't clear.
     out.resize(n * out_plane, 0.0);
     let input = resolve(op.input, rgb, depth, slots);
     let acc = op.accumulate.map(|r| resolve(r, rgb, depth, slots));
@@ -525,50 +530,30 @@ fn exec_qconv(
             op.in_scale,
             qimg,
         );
-        // im2col leaves padding taps untouched — pre-zero the region.
-        qcols.fill(0);
         im2col_i8_into(
             qimg, g.in_c, g.in_h, g.in_w, g.k, g.k, g.spec, qcols, cols, 0,
         );
         accbuf.fill(0);
         matmul_i8_into(&op.wq, qcols, accbuf, g.out_c, patch, cols);
-        for oc in 0..g.out_c {
-            let mul = op.in_scale * op.wscale[oc];
-            for (v, &a) in dst[oc * cols..(oc + 1) * cols]
-                .iter_mut()
-                .zip(&accbuf[oc * cols..(oc + 1) * cols])
-            {
-                *v = a as f32 * mul;
-            }
-        }
-        if let Some(bias) = &op.bias {
-            for (oc, &bv) in bias.iter().enumerate() {
-                for v in &mut dst[oc * cols..(oc + 1) * cols] {
-                    *v += bv;
-                }
-            }
-        }
-        if let Some(bn) = &op.bn {
-            for oc in 0..g.out_c {
-                let (m, s, ga, be) = (bn.mean[oc], bn.scale[oc], bn.gamma[oc], bn.beta[oc]);
-                for v in &mut dst[oc * cols..(oc + 1) * cols] {
-                    *v = ((*v - m) * s) * ga + be;
-                }
-            }
-        }
-        if op.relu {
-            for v in dst.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        if let Some(a) = acc {
-            for (v, &av) in dst
-                .iter_mut()
-                .zip(&a[img * out_plane..(img + 1) * out_plane])
-            {
-                *v += av;
-            }
-        }
+        let tail = epilogue(
+            &op.bias,
+            &op.bn,
+            op.relu,
+            acc,
+            img * out_plane..(img + 1) * out_plane,
+        );
+        conv_epilogue(
+            dst,
+            cols,
+            ConvEpilogue {
+                dequant: Some(Dequant {
+                    acc: accbuf,
+                    in_scale: op.in_scale,
+                    wscale: &op.wscale,
+                }),
+                ..tail
+            },
+        );
     });
     slots[op.out] = out;
 }

@@ -32,7 +32,6 @@ mod module;
 mod norm;
 mod optim;
 mod param;
-mod qconv;
 mod state;
 
 pub use conv::Conv2d;
@@ -44,7 +43,6 @@ pub use module::{
 pub use norm::BatchNorm2d;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
-pub use qconv::QConv2d;
 pub use state::{
     crc32, read_tagged, write_tagged, DType, LoadStateError, Stateful, TaggedTensor, TensorPayload,
 };

@@ -19,6 +19,10 @@
 //! - **Caller participation** — the calling thread always works on its own
 //!   batch, so nested `parallel_for` calls cannot deadlock even when every
 //!   worker is busy.
+//! - **Spin, then park** — a worker that has just finished a batch, and a
+//!   caller waiting for its batch to settle, poll for at most 50 µs
+//!   before sleeping on the condvar, so back-to-back parallel regions (a
+//!   forward pass) hand over without a futex wake-up each.
 //!
 //! Thread count resolution: the `SF_THREADS` environment variable if it
 //! parses to a positive integer, otherwise
@@ -36,6 +40,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
@@ -51,9 +56,45 @@ struct Batch {
     f: &'static (dyn Fn(usize) + Sync),
     n: usize,
     next: AtomicUsize,
-    completed: Mutex<usize>,
+    /// Indices finished. The `AcqRel` increment in [`Batch::work`] pairs
+    /// with the `Acquire` load in [`Batch::settled`]: a waiter that reads
+    /// `n` sees every write the tasks made.
+    completed: AtomicUsize,
+    /// Guards nothing but the sleep on `done`: the finisher takes it
+    /// before notifying, so a waiter that saw `completed < n` under it is
+    /// already parked when the notification fires.
+    parked: Mutex<()>,
     done: Condvar,
     panic: Mutex<Option<PanicPayload>>,
+}
+
+/// How long a thread polls for an event it expects within one parallel
+/// region before it parks on a condvar. A compiled-plan forward pass is
+/// ~31 regions of about 0.1 ms; parked, each region costs two futex
+/// wake-ups (worker for the work, submitter for the result) of tens of µs
+/// under a hypervisor and as variable as the host — a quarter of the pass
+/// and most of its run-to-run spread. Measured on the batch-8 int8 plan,
+/// 2 cores: 0/10/25/50/100/200 µs gave 2236/2502/2607/2646/2655/2660
+/// img/s with the spread smallest at 50; an idle worker burns this much
+/// once per pass, then parks.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Polls `ready` for at most [`SPIN`]; returns whether it became true.
+/// The clock is first read after a burst of polls, so an event that is
+/// already there (or a few µs away) costs no clock read at all.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let mut start = None;
+    loop {
+        for _ in 0..64 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.get_or_insert_with(Instant::now).elapsed() >= SPIN {
+            return ready();
+        }
+    }
 }
 
 impl Batch {
@@ -69,19 +110,27 @@ impl Batch {
                 let mut slot = self.panic.lock().expect("panic slot poisoned");
                 slot.get_or_insert(payload);
             }
-            let mut completed = self.completed.lock().expect("completed poisoned");
-            *completed += 1;
-            if *completed == self.n {
+            if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+                drop(self.parked.lock().expect("parked poisoned"));
                 self.done.notify_all();
             }
         }
     }
 
-    /// Blocks until every claimed index has finished executing.
+    fn settled(&self) -> bool {
+        self.completed.load(Ordering::Acquire) == self.n
+    }
+
+    /// Blocks until every claimed index has finished executing: polls
+    /// briefly (the other threads are finishing their last index), then
+    /// parks.
     fn wait(&self) {
-        let mut completed = self.completed.lock().expect("completed poisoned");
-        while *completed < self.n {
-            completed = self.done.wait(completed).expect("completed poisoned");
+        if spin_until(|| self.settled()) {
+            return;
+        }
+        let mut parked = self.parked.lock().expect("parked poisoned");
+        while !self.settled() {
+            parked = self.done.wait(parked).expect("parked poisoned");
         }
     }
 
@@ -92,6 +141,10 @@ impl Batch {
 
 struct PoolShared {
     queue: Mutex<VecDeque<Arc<Batch>>>,
+    /// `queue.len()`, republished after every change under the lock, so an
+    /// idle worker can poll for work without taking it. A hint only
+    /// (`Relaxed`): batches are handed over under the mutex.
+    queued: AtomicUsize,
     work_ready: Condvar,
     shutdown: AtomicBool,
 }
@@ -151,6 +204,7 @@ impl Pool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
+            queued: AtomicUsize::new(0),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
@@ -215,7 +269,8 @@ impl Pool {
             f: f_static,
             n,
             next: AtomicUsize::new(0),
-            completed: Mutex::new(0),
+            completed: AtomicUsize::new(0),
+            parked: Mutex::new(()),
             done: Condvar::new(),
             panic: Mutex::new(None),
         });
@@ -224,6 +279,7 @@ impl Pool {
             for _ in 0..(self.threads - 1).min(n - 1) {
                 queue.push_back(Arc::clone(&batch));
             }
+            self.shared.queued.store(queue.len(), Ordering::Relaxed);
         }
         self.shared.work_ready.notify_all();
         batch.work();
@@ -233,6 +289,7 @@ impl Pool {
         {
             let mut queue = self.shared.queue.lock().expect("queue poisoned");
             queue.retain(|b| !Arc::ptr_eq(b, &batch));
+            self.shared.queued.store(queue.len(), Ordering::Relaxed);
         }
         if let Some(payload) = batch.take_panic() {
             self.panicked_batches.fetch_add(1, Ordering::Relaxed);
@@ -250,6 +307,11 @@ impl Drop for Pool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
+        // The next region of the same forward pass is usually microseconds
+        // away: poll for it before paying for a park and a wake-up.
+        spin_until(|| {
+            shared.queued.load(Ordering::Relaxed) > 0 || shared.shutdown.load(Ordering::Relaxed)
+        });
         let batch = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
             loop {
@@ -257,6 +319,7 @@ fn worker_loop(shared: &PoolShared) {
                     return;
                 }
                 if let Some(batch) = queue.pop_front() {
+                    shared.queued.store(queue.len(), Ordering::Relaxed);
                     break batch;
                 }
                 queue = shared.work_ready.wait(queue).expect("queue poisoned");
@@ -483,6 +546,33 @@ mod tests {
             std::thread::yield_now();
         });
         assert!(!seen.get_mut().unwrap().is_empty());
+    }
+
+    /// Both hand-over paths settle every batch: the worker finishing
+    /// long after the caller has given up polling and parked, and regions
+    /// submitted back to back while the worker is still polling.
+    #[test]
+    fn batches_settle_parked_and_polling() {
+        let pool = Pool::with_threads(2);
+        let caller = std::thread::current().id();
+        let both_in = std::sync::Barrier::new(2);
+        let ran = AtomicU64::new(0);
+        pool.run(2, &|_| {
+            // The barrier puts one index on each thread; the worker then
+            // outlasts the caller's polling by far.
+            both_in.wait();
+            if std::thread::current().id() != caller {
+                std::thread::sleep(SPIN * 40);
+            }
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
+        for _ in 0..2000 {
+            pool.run(2, &|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 4002);
     }
 
     #[test]

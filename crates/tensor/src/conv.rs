@@ -7,7 +7,8 @@
 //! - output `y`: `[N, O, OH, OW]` with
 //!   `OH = (H + 2·pad − KH)/stride + 1` (likewise `OW`).
 
-use crate::linalg::{matmul_transpose_a, matmul_transpose_b, mm_ikj};
+use crate::kernels::gemm;
+use crate::linalg::{matmul_transpose_a, matmul_transpose_b};
 use crate::{scratch, Result, Tensor, TensorError};
 
 /// Geometry of a 2-D convolution: stride and symmetric zero padding.
@@ -171,11 +172,11 @@ pub fn im2col(image: &Tensor, kh: usize, kw: usize, spec: Conv2dSpec) -> Result<
     Ok(out)
 }
 
-/// Scatters one `CHW` image into a pre-zeroed `im2col` destination whose
-/// rows have length `row_stride`, writing this image's `OH·OW` columns at
+/// Scatters one `CHW` image into an `im2col` destination whose rows have
+/// length `row_stride`, writing this image's `OH·OW` columns at
 /// `col_offset` — so several images can share one wide patch matrix (the
-/// batched convolution path). Padding taps are left untouched, which is
-/// why the destination must be zeroed.
+/// batched convolution path). Every one of those columns is written,
+/// padding taps as zeros, so the destination need not be cleared first.
 ///
 /// Public because the compiled-plan executor in `sf-core` builds its
 /// convolution ops from exactly this unfold plus [`matmul_into`]; going
@@ -196,40 +197,69 @@ pub fn im2col_into(
     row_stride: usize,
     col_offset: usize,
 ) {
+    unfold_into(src, c, h, w, kh, kw, spec, dst, row_stride, col_offset);
+}
+
+/// The unfold shared by [`im2col_into`] and its int8 twin: in-bounds taps
+/// are copied, padding taps written as `T::default()` (zero).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn unfold_into<T: Copy + Default>(
+    src: &[T],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    dst: &mut [T],
+    row_stride: usize,
+    col_offset: usize,
+) {
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
+    if oh == 0 || ow == 0 {
+        return;
+    }
     let pad = spec.padding as isize;
     let stride = spec.stride;
+    let zero = T::default();
     for ch in 0..c {
         for ki in 0..kh {
             for kj in 0..kw {
                 let row = (ch * kh + ki) * kw + kj;
                 let dst_row = &mut dst[row * row_stride + col_offset..][..oh * ow];
-                for oy in 0..oh {
+                // With unit stride the in-bounds taps of an output row are
+                // one contiguous span `ox0..ox1` (ix = ox + kj − pad): copy
+                // it as a block instead of testing every tap.
+                let shift = kj as isize - pad;
+                let ox0 = ((-shift).max(0) as usize).min(ow);
+                let ox1 = ow.min((w as isize - shift).max(0) as usize).max(ox0);
+                for (oy, dst_span) in dst_row.chunks_exact_mut(ow).enumerate() {
                     let iy = (oy * stride) as isize + ki as isize - pad;
                     if iy < 0 || iy >= h as isize {
+                        dst_span.fill(zero);
                         continue;
                     }
-                    let src_base = (ch * h + iy as usize) * w;
-                    let dst_base = oy * ow;
+                    let src_row = &src[(ch * h + iy as usize) * w..][..w];
                     if stride == 1 {
-                        // With unit stride the in-bounds taps of this row
-                        // form one contiguous span (ix = ox + kj − pad):
-                        // copy it as a block instead of testing every tap.
-                        let shift = kj as isize - pad;
-                        let ox0 = (-shift).max(0) as usize;
-                        let ox1 = ow.min((w as isize - shift).max(0) as usize);
-                        if ox0 < ox1 {
+                        let (left, rest) = dst_span.split_at_mut(ox0);
+                        let (span, right) = rest.split_at_mut(ox1 - ox0);
+                        // The pads are a tap or two: a loop beats a memset call.
+                        for d in left.iter_mut().chain(right) {
+                            *d = zero;
+                        }
+                        if !span.is_empty() {
                             let ix0 = (ox0 as isize + shift) as usize;
-                            dst_row[dst_base + ox0..dst_base + ox1]
-                                .copy_from_slice(&src[src_base + ix0..src_base + ix0 + ox1 - ox0]);
+                            span.copy_from_slice(&src_row[ix0..][..ox1 - ox0]);
                         }
                     } else {
-                        for ox in 0..ow {
+                        for (ox, d) in dst_span.iter_mut().enumerate() {
                             let ix = (ox * stride) as isize + kj as isize - pad;
-                            if ix >= 0 && ix < w as isize {
-                                dst_row[dst_base + ox] = src[src_base + ix as usize];
-                            }
+                            *d = if ix >= 0 && ix < w as isize {
+                                src_row[ix as usize]
+                            } else {
+                                zero
+                            };
                         }
                     }
                 }
@@ -347,54 +377,27 @@ pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -
             }
         }
     };
+    // One image: unfold into per-thread scratch, multiply straight into
+    // its [O, OH·OW] output plane — no staging matrix, no scatter copy,
+    // steady-state calls allocation-free. Each output element is the same
+    // ascending-tap accumulation on every path, so results are
+    // bit-identical regardless of batch size or threads.
+    let per_image = |img: usize, dst: &mut [f32]| {
+        scratch::with_zeroed(patch * cols, |cb| {
+            let image = &xd[img * in_plane..(img + 1) * in_plane];
+            im2col_into(image, c, h, iw, kh, kw, spec, cb, cols, 0);
+            gemm(wmat.data(), cb, dst, o, patch, cols);
+        });
+        add_bias(dst);
+    };
     if n > 1 && sf_runtime::num_threads() > 1 {
         // Each image owns a disjoint output plane, so the batch splits
-        // across the worker pool. The im2col matrix and the matmul run in
-        // per-worker scratch, so steady-state calls are allocation-free.
-        sf_runtime::parallel_chunks_mut(out.data_mut(), plane, |img, dst| {
-            scratch::with_zeroed(patch * cols, |cb| {
-                im2col_into(
-                    &xd[img * in_plane..(img + 1) * in_plane],
-                    c,
-                    h,
-                    iw,
-                    kh,
-                    kw,
-                    spec,
-                    cb,
-                    cols,
-                    0,
-                );
-                mm_ikj(wmat.data(), cb, dst, o, patch, cols);
-            });
-            add_bias(dst);
-        });
+        // across the worker pool.
+        sf_runtime::parallel_chunks_mut(out.data_mut(), plane, per_image);
     } else {
-        // Single-threaded path: the same per-image loop the pooled path
-        // runs, writing each image's [O, OH·OW] plane straight into the
-        // output — no staging matrix, no scatter copy, and the im2col
-        // panel stays cache-resident per image. Each output element is
-        // the same ascending-tap accumulation as every other path, so
-        // results are bit-identical regardless of batch size or threads.
-        let od = out.data_mut();
-        for img in 0..n {
-            let dst = &mut od[img * plane..(img + 1) * plane];
-            scratch::with_zeroed(patch * cols, |cb| {
-                im2col_into(
-                    &xd[img * in_plane..(img + 1) * in_plane],
-                    c,
-                    h,
-                    iw,
-                    kh,
-                    kw,
-                    spec,
-                    cb,
-                    cols,
-                    0,
-                );
-                mm_ikj(wmat.data(), cb, dst, o, patch, cols);
-            });
-            add_bias(dst);
+        // A single image keeps the pool free for the GEMM's own row split.
+        for (img, dst) in out.data_mut().chunks_mut(plane).enumerate() {
+            per_image(img, dst);
         }
     }
     Ok(out)
@@ -585,6 +588,55 @@ mod tests {
         let back = col2im(&y, 2, 5, 6, 3, 3, spec).unwrap();
         let rhs: f32 = x.data().iter().zip(back.data()).map(|(&a, &b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
+    }
+
+    #[test]
+    fn im2col_into_a_dirty_destination_equals_a_zeroed_one() {
+        use crate::int8::im2col_i8_into;
+        use crate::testkit::check_cases;
+        // Every column of the image's span is written (padding taps as
+        // zeros); nothing outside the span is touched.
+        check_cases(64, |c| {
+            let (ch, h, w) = (c.usize_in(1, 4), c.usize_in(1, 9), c.usize_in(1, 9));
+            let k = c.usize_in(1, 4);
+            let spec = Conv2dSpec::new(c.usize_in(1, 3), c.usize_in(0, 3));
+            let (oh, ow) = (spec.out_size(h, k), spec.out_size(w, k));
+            if oh == 0 || ow == 0 {
+                return;
+            }
+            let cols = oh * ow;
+            let (col_offset, row_stride) = (c.usize_in(0, 5), cols + 7);
+            let len = ch * k * k * row_stride;
+            let img = c.rng().uniform(&[ch * h * w], -1.0, 1.0).into_vec();
+            let unfold = |fill: f32| {
+                let mut dst = vec![fill; len];
+                im2col_into(&img, ch, h, w, k, k, spec, &mut dst, row_stride, col_offset);
+                dst
+            };
+            let (clean, dirty) = (unfold(0.0), unfold(f32::NAN));
+            let qimg: Vec<i8> = img.iter().map(|&v| (v * 127.0) as i8).collect();
+            let mut qdirty = vec![-77i8; len];
+            im2col_i8_into(
+                &qimg,
+                ch,
+                h,
+                w,
+                k,
+                k,
+                spec,
+                &mut qdirty,
+                row_stride,
+                col_offset,
+            );
+            for (i, ((&z, &d), &q)) in clean.iter().zip(&dirty).zip(&qdirty).enumerate() {
+                if (col_offset..col_offset + cols).contains(&(i % row_stride)) {
+                    assert_eq!(z.to_bits(), d.to_bits(), "case {}: element {i}", c.case);
+                    assert_eq!(f32::from(q), (z * 127.0).trunc(), "case {}: i8 {i}", c.case);
+                } else {
+                    assert!(z == 0.0 && d.is_nan() && q == -77, "case {}: {i}", c.case);
+                }
+            }
+        });
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! overflows and the representable grid is symmetric around zero — the
 //! standard choice for weight quantization.
 //!
-//! The kernels here are integer twins of the f32 `im2col` + `i-k-j`
-//! matmul pair that powers every convolution in the stack: the compiled
+//! The kernels here are integer twins of the f32 `im2col` + GEMM pair
+//! that powers every convolution in the stack (both GEMMs are one
+//! register-tiled body in `crate::kernels`): the compiled
 //! plan's int8 lowering in `sf-core` quantizes the activation plane,
 //! unfolds it with [`im2col_i8_into`], multiplies with
 //! [`matmul_i8_into`] into `i32` accumulators and dequantizes once per
@@ -15,16 +16,8 @@
 //! accumulator value is independent of summation order — int8 results are
 //! bit-reproducible by construction, parallel or not.
 
+use crate::kernels::{self, QuantizeI8};
 use crate::Conv2dSpec;
-
-/// Minimum number of output elements before [`matmul_i8_into`] splits
-/// rows across the worker pool; mirrors the f32 kernel's threshold.
-const PARALLEL_THRESHOLD: usize = 64 * 1024;
-
-/// i8 elements of `b` streamed per column block; same cache-resident
-/// panel sizing rationale as the f32 kernel (i8 is 4x denser, so the
-/// same element count is an even safer fit).
-const MM_PANEL_ELEMS: usize = 1 << 16;
 
 /// The symmetric scale mapping `[-max_abs, max_abs]` onto the int8 grid:
 /// `max_abs / 127`, with an all-zero range degenerating to `1.0` so the
@@ -52,10 +45,11 @@ pub fn max_abs(src: &[f32]) -> f32 {
 pub fn quantize_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
     assert_eq!(src.len(), dst.len(), "quantize_i8 slice lengths differ");
     assert!(scale > 0.0, "quantize_i8 scale must be positive");
-    let inv = 1.0 / scale;
-    for (d, &v) in dst.iter_mut().zip(src) {
-        *d = (v * inv).round().clamp(-127.0, 127.0) as i8;
-    }
+    kernels::dispatch(QuantizeI8 {
+        src,
+        inv: 1.0 / scale,
+        dst,
+    });
 }
 
 /// Dequantizes `src` into `dst`: `v = q · scale`.
@@ -96,10 +90,10 @@ pub fn quantize_per_row(src: &[f32], rows: usize) -> (Vec<i8>, Vec<f32>) {
 }
 
 /// The int8 twin of the f32 `im2col_into`: scatters one `CHW` image of
-/// quantized activations into a pre-zeroed patch matrix whose rows have
-/// length `row_stride`, writing this image's `OH·OW` columns at
-/// `col_offset`. Padding taps are left untouched (zero-point is 0 under
-/// symmetric quantization, so zeroed padding is exact).
+/// quantized activations into a patch matrix whose rows have length
+/// `row_stride`, writing this image's `OH·OW` columns at `col_offset`.
+/// Padding taps are written as 0 — exact, because the zero-point is 0
+/// under symmetric quantization.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_i8_into(
     src: &[i8],
@@ -113,44 +107,7 @@ pub fn im2col_i8_into(
     row_stride: usize,
     col_offset: usize,
 ) {
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    for ch in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = (ch * kh + ki) * kw + kj;
-                let dst_row = &mut dst[row * row_stride + col_offset..][..oh * ow];
-                for oy in 0..oh {
-                    let iy = (oy * stride) as isize + ki as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_base = (ch * h + iy as usize) * w;
-                    let dst_base = oy * ow;
-                    if stride == 1 {
-                        // Same contiguous-span fast path as the f32 kernel.
-                        let shift = kj as isize - pad;
-                        let ox0 = (-shift).max(0) as usize;
-                        let ox1 = ow.min((w as isize - shift).max(0) as usize);
-                        if ox0 < ox1 {
-                            let ix0 = (ox0 as isize + shift) as usize;
-                            dst_row[dst_base + ox0..dst_base + ox1]
-                                .copy_from_slice(&src[src_base + ix0..src_base + ix0 + ox1 - ox0]);
-                        }
-                    } else {
-                        for ox in 0..ow {
-                            let ix = (ox * stride) as isize + kj as isize - pad;
-                            if ix >= 0 && ix < w as isize {
-                                dst_row[dst_base + ox] = src[src_base + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    crate::conv::unfold_into(src, c, h, w, kh, kw, spec, dst, row_stride, col_offset);
 }
 
 /// `out[m,n] += a[m,k] · b[k,n]` with `i8` operands widened into `i32`
@@ -169,49 +126,7 @@ pub fn matmul_i8_into(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n
         a.len() >= m * k && b.len() >= k * n && out.len() >= m * n,
         "matmul_i8_into slice lengths too short for {m}x{k}x{n}"
     );
-    let threads = sf_runtime::num_threads();
-    if m * n < PARALLEL_THRESHOLD || threads <= 1 || m < 2 {
-        mm_i8_rows(a, b, out, 0..m, k, n);
-        return;
-    }
-    let chunk = m.div_ceil(threads);
-    sf_runtime::parallel_chunks_mut(out, chunk * n, |ci, rows_out| {
-        let row0 = ci * chunk;
-        let rows = rows_out.len() / n;
-        mm_i8_rows(a, b, rows_out, row0..row0 + rows, k, n);
-    });
-}
-
-fn mm_i8_rows(
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-    rows: std::ops::Range<usize>,
-    k: usize,
-    n: usize,
-) {
-    // Column-tiled i-k-j, the integer twin of the f32 kernel's loop.
-    let block = (MM_PANEL_ELEMS / k.max(1)).max(256).min(n.max(1));
-    let base = rows.start;
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + block).min(n);
-        for i in rows.clone() {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[(i - base) * n + j0..(i - base) * n + j1];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0 {
-                    continue;
-                }
-                let av = i32::from(av);
-                let brow = &b[p * n + j0..p * n + j1];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * i32::from(bv);
-                }
-            }
-        }
-        j0 = j1;
-    }
+    kernels::gemm(a, b, out, m, k, n);
 }
 
 #[cfg(test)]
@@ -299,7 +214,7 @@ mod tests {
         let mut fast = vec![0i32; m * n];
         matmul_i8_into(&a, &b, &mut fast, m, k, n);
         let mut slow = vec![0i32; m * n];
-        mm_i8_rows(&a, &b, &mut slow, 0..m, k, n);
+        kernels::reference::mm_i8_rows(&a, &b, &mut slow, 0..m, k, n);
         assert_eq!(fast, slow);
     }
 

@@ -20,9 +20,14 @@
 //! # Ok::<(), sf_tensor::TensorError>(())
 //! ```
 
+// The crate's few `unsafe` sites (the ISA dispatch in `kernels`, the
+// disjoint-plane pointers in `pool`) must each argue their soundness.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod conv;
 mod error;
 pub mod int8;
+mod kernels;
 mod linalg;
 mod pool;
 mod reduce;
@@ -34,6 +39,7 @@ pub mod testkit;
 
 pub use conv::{col2im, conv2d, conv2d_backward, im2col, im2col_into, Conv2dSpec};
 pub use error::TensorError;
+pub use kernels::{conv_epilogue, kernel_isa, BnFold, ConvEpilogue, Dequant};
 pub use linalg::{matmul, matmul_into, matmul_transpose_a, matmul_transpose_b, transpose2d};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, upsample_nearest2d,

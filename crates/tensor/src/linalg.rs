@@ -1,15 +1,11 @@
 //! Dense matrix multiplication kernels.
 //!
-//! These power the `im2col` convolution path, so they are written with a
-//! cache-friendly `i-k-j` loop order and a row split across the persistent
-//! [`sf_runtime`] worker pool for large problems. They operate on rank-2
-//! [`Tensor`]s.
+//! These power the `im2col` convolution path: the forward GEMM runs
+//! through the register-tiled kernel seam (`crate::kernels`) with a row
+//! split across the persistent [`sf_runtime`] worker pool for large
+//! problems. They operate on rank-2 [`Tensor`]s.
 
-use crate::{Result, Tensor, TensorError};
-
-/// Minimum number of output elements before the kernels split work across
-/// threads. Small problems are faster single-threaded.
-const PARALLEL_THRESHOLD: usize = 64 * 1024;
+use crate::{kernels, Result, Tensor, TensorError};
 
 fn check_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
     match t.shape() {
@@ -50,7 +46,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = Tensor::zeros(&[m, n]);
-    mm_ikj(a.data(), b.data(), out.data_mut(), m, k, n);
+    kernels::gemm(a.data(), b.data(), out.data_mut(), m, k, n);
     Ok(out)
 }
 
@@ -122,33 +118,10 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// The shared `i-k-j` inner kernel: `out[m,n] += a[m,k] * b[k,n]`.
-///
-/// Splits rows of `a` across threads when the output is large enough.
-/// Exposed to the convolution module so the batched forward path can
-/// multiply straight into a borrowed output slice without an extra
-/// allocation or copy. `out` must be zeroed (the kernel accumulates).
-pub(crate) fn mm_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let threads = sf_runtime::num_threads();
-    if m * n < PARALLEL_THRESHOLD || threads <= 1 || m < 2 {
-        mm_ikj_rows(a, b, out, 0..m, k, n);
-        return;
-    }
-    // Chunk boundaries depend only on (m, n, threads), and each row is
-    // computed by the identical serial kernel, so the parallel result is
-    // bit-identical to the serial one.
-    let chunk = m.div_ceil(threads);
-    sf_runtime::parallel_chunks_mut(out, chunk * n, |ci, rows_out| {
-        let row0 = ci * chunk;
-        let rows = rows_out.len() / n;
-        mm_ikj_rows(a, b, rows_out, row0..row0 + rows, k, n);
-    });
-}
-
 /// `out[m,n] += a[m,k] · b[k,n]` on raw row-major slices. `out` must be
 /// zeroed (the kernel accumulates into it).
 ///
-/// This is the public face of the internal `i-k-j` kernel that powers
+/// This is the public face of the internal GEMM kernel that powers
 /// [`matmul`] and the `im2col` convolution path: the compiled-plan
 /// executor in `sf-core` multiplies straight into its statically
 /// scheduled slot buffers through it, so plan results stay bit-identical
@@ -159,48 +132,7 @@ pub(crate) fn mm_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 /// Panics if any slice is shorter than its `m`/`k`/`n` extent implies.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
-    mm_ikj(a, b, out, m, k, n);
-}
-
-/// f32 elements of `b` streamed per column block (256 KiB): big enough
-/// that loop overheads amortise, small enough that the panel stays
-/// cache-resident across the row loop.
-const MM_PANEL_ELEMS: usize = 1 << 16;
-
-fn mm_ikj_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    rows: std::ops::Range<usize>,
-    k: usize,
-    n: usize,
-) {
-    // Column-tile the traversal: with wide merged-batch columns
-    // (n = batch·H·W) an untiled pass re-streams the whole k×n panel of
-    // `b` from memory once per output row. Tiling only reorders which
-    // (i, j) cells are visited when — each cell still accumulates over p
-    // in ascending order, so results are bit-identical to the untiled
-    // kernel (and `n <= block` degenerates to exactly that kernel).
-    let block = (MM_PANEL_ELEMS / k.max(1)).max(256).min(n.max(1));
-    let base = rows.start;
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + block).min(n);
-        for i in rows.clone() {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[(i - base) * n + j0..(i - base) * n + j1];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n + j0..p * n + j1];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        j0 = j1;
-    }
+    kernels::gemm(a, b, out, m, k, n);
 }
 
 /// Returns the rank-2 transpose of `t`.

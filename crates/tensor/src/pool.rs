@@ -10,7 +10,12 @@ use crate::{Result, Tensor, TensorError};
 /// disjoint plane of a second output buffer (the `argmax` array).
 struct SyncPtr<T>(*mut T);
 
+// SAFETY: the wrapper only carries the pointer to the workers; every
+// dereference is of a plane no other worker touches (see the `SAFETY`
+// note at the use site), so sending or sharing it moves only `T: Send`
+// data between threads.
 unsafe impl<T: Send> Send for SyncPtr<T> {}
+// SAFETY: as above — shared access never aliases a written plane.
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
 impl<T> SyncPtr<T> {

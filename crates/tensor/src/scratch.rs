@@ -12,9 +12,8 @@
 //! Because the pool's workers are long-lived threads, a worker that ran a
 //! convolution once serves every later call with the same geometry from
 //! its local list, allocation-free. Buffers are handed out zeroed, so
-//! kernels that only write in-bounds taps (like `im2col`, which skips
-//! padding positions) behave exactly as they would on a fresh
-//! `Tensor::zeros` — results stay bit-identical.
+//! kernels that accumulate into their workspace behave exactly as they
+//! would on a fresh `Tensor::zeros` — results stay bit-identical.
 //!
 //! The free list matters far beyond the convolution workspaces: a batched
 //! forward pass allocates dozens of activation tensors big enough to cross
@@ -55,11 +54,7 @@ thread_local! {
     /// Total capacity (in elements) held by `FREE_LIST`, tracked
     /// incrementally so neither take nor recycle re-sums the pool.
     static HELD_ELEMS: Cell<usize> = const { Cell::new(0) };
-    /// The int8 kernels' side of the arena: same policy, separate list
-    /// (an i8 buffer cannot be retyped as f32 without unsafe games).
-    static FREE_LIST_I8: RefCell<Vec<Vec<i8>>> = const { RefCell::new(Vec::new()) };
-    static HELD_ELEMS_I8: Cell<usize> = const { Cell::new(0) };
-    /// High-water mark of this thread's pooled bytes (f32 + i8 lists).
+    /// High-water mark of this thread's pooled bytes.
     static PEAK_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -85,7 +80,7 @@ pub struct ScratchStats {
 }
 
 fn thread_held_bytes() -> usize {
-    HELD_ELEMS.with(Cell::get) * std::mem::size_of::<f32>() + HELD_ELEMS_I8.with(Cell::get)
+    HELD_ELEMS.with(Cell::get) * std::mem::size_of::<f32>()
 }
 
 /// Records `bytes` entering a free list (one buffer kept).
@@ -119,10 +114,8 @@ impl Drop for ExitGuard {
         // TLS destructor order is unspecified: the lists may already be
         // gone, in which case their own teardown freed the memory and we
         // saturate rather than underflow.
-        let bytes = HELD_ELEMS.try_with(Cell::get).unwrap_or(0) * std::mem::size_of::<f32>()
-            + HELD_ELEMS_I8.try_with(Cell::get).unwrap_or(0);
-        let buffers = FREE_LIST.try_with(|c| c.borrow().len()).unwrap_or(0)
-            + FREE_LIST_I8.try_with(|c| c.borrow().len()).unwrap_or(0);
+        let bytes = HELD_ELEMS.try_with(Cell::get).unwrap_or(0) * std::mem::size_of::<f32>();
+        let buffers = FREE_LIST.try_with(|c| c.borrow().len()).unwrap_or(0);
         let _ = GLOBAL_HELD_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
             Some(v.saturating_sub(bytes))
         });
@@ -133,11 +126,11 @@ impl Drop for ExitGuard {
 }
 
 /// This thread's arena counters: current residency plus the per-thread
-/// high-water mark (f32 and i8 lists combined).
+/// high-water mark.
 pub fn stats() -> ScratchStats {
     ScratchStats {
         held_bytes: thread_held_bytes(),
-        buffers: FREE_LIST.with(|c| c.borrow().len()) + FREE_LIST_I8.with(|c| c.borrow().len()),
+        buffers: FREE_LIST.with(|c| c.borrow().len()),
         peak_bytes: PEAK_BYTES.with(Cell::get),
     }
 }
@@ -244,67 +237,6 @@ pub fn with_zeroed<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     result
 }
 
-/// Takes a zeroed `i8` buffer of exactly `len` elements from this
-/// thread's int8 free list — the quantized-kernel counterpart of
-/// [`take_zeroed`].
-pub fn take_zeroed_i8(len: usize) -> Vec<i8> {
-    let taken = FREE_LIST_I8.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        let i = pool.partition_point(|buf| buf.capacity() < len);
-        (i < pool.len()).then(|| {
-            let buf = pool.remove(i);
-            HELD_ELEMS_I8.with(|held| held.set(held.get() - buf.capacity()));
-            pool_shrank(buf.capacity());
-            buf
-        })
-    });
-    match taken {
-        Some(mut buf) => {
-            buf.clear();
-            buf.resize(len, 0);
-            buf
-        }
-        None => vec![0; len],
-    }
-}
-
-/// Returns an `i8` buffer to this thread's int8 free list; bounded by
-/// the same buffer count and byte budget as the f32 side.
-pub fn recycle_i8(buf: Vec<i8>) {
-    if buf.capacity() == 0 {
-        return;
-    }
-    FREE_LIST_I8.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        let cap = buf.capacity();
-        let held = HELD_ELEMS_I8.with(Cell::get);
-        if held + cap > MAX_POOLED_BYTES {
-            return;
-        }
-        let i = pool.partition_point(|b| b.capacity() < cap);
-        if pool.len() < MAX_POOLED {
-            pool.insert(i, buf);
-            HELD_ELEMS_I8.with(|h| h.set(held + cap));
-            pool_grew(cap);
-        } else if i > 0 {
-            let evicted = pool.remove(0);
-            pool.insert(i - 1, buf);
-            HELD_ELEMS_I8.with(|h| h.set(held + cap - evicted.capacity()));
-            pool_grew(cap);
-            pool_shrank(evicted.capacity());
-        }
-    });
-}
-
-/// Runs `f` with a zeroed `i8` scratch slice of `len` elements, recycling
-/// the buffer afterwards — the int8 kernels' entry point.
-pub fn with_zeroed_i8<R>(len: usize, f: impl FnOnce(&mut [i8]) -> R) -> R {
-    let mut buf = take_zeroed_i8(len);
-    let result = f(&mut buf);
-    recycle_i8(buf);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,22 +286,6 @@ mod tests {
         let again = take_spare(256);
         assert!(again.is_empty(), "reused buffers must come back cleared");
         assert!(again.capacity() >= 256);
-    }
-
-    #[test]
-    fn i8_buffers_come_back_zeroed_and_reused() {
-        with_zeroed_i8(64, |buf| {
-            assert_eq!(buf.len(), 64);
-            buf.fill(-5);
-        });
-        with_zeroed_i8(64, |buf| {
-            assert!(buf.iter().all(|&v| v == 0));
-        });
-        let big = take_zeroed_i8(2048);
-        let cap = big.capacity();
-        recycle_i8(big);
-        let again = take_zeroed_i8(2048);
-        assert!(again.capacity() >= cap.min(2048));
     }
 
     #[test]

@@ -23,6 +23,35 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::TensorRng;
 
+/// `(m, k, n)` of every convolution's GEMM in the standard fused plan, in
+/// op order (`roadseg plan`): `m` output channels, `k = in_c·kh·kw`,
+/// `n = OH·OW`. One entry per op, so a pass over the table is one image's
+/// GEMM work — the shapes the kernel oracle suite and the `plan_shapes`
+/// benches run.
+pub const PLAN_GEMM_SHAPES: [(usize, usize, usize); 21] = [
+    (8, 27, 3072),  // enc0.rgb
+    (8, 9, 3072),   // enc0.depth
+    (8, 8, 768),    // fuse0
+    (12, 72, 768),  // enc1.rgb
+    (12, 72, 768),  // enc1.depth
+    (12, 12, 192),  // fuse1
+    (16, 108, 192), // enc2.rgb
+    (16, 108, 192), // enc2.depth
+    (16, 16, 48),   // fuse2
+    (24, 144, 48),  // enc3.rgb
+    (24, 144, 48),  // enc3.depth
+    (24, 24, 12),   // fuse3
+    (32, 216, 12),  // enc4.rgb
+    (32, 216, 12),  // enc4.depth
+    (32, 32, 3),    // fuse4
+    (24, 288, 12),  // dec0
+    (16, 216, 48),  // dec1
+    (12, 144, 192), // dec2
+    (8, 108, 768),  // dec3
+    (8, 72, 3072),  // dec4
+    (1, 8, 3072),   // head
+];
+
 /// Per-case context handed to a property: the case number plus a seeded
 /// generator for drawing inputs.
 pub struct CaseCtx {

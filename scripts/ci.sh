@@ -32,6 +32,37 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "    ok: all dependencies are path-only"
 
+echo "==> guard: kernel bit-identity (no fused multiply-add, no per-machine codegen)"
+# Results must be bit-identical on every machine: the kernel seam
+# (crates/tensor/src/kernels.rs) picks its ISA level at run time and
+# never fuses a multiply with an add. A `mul_add` call, an `fma` target
+# feature, a `target-cpu` or `+fma` flag, or a .cargo/config* carrying
+# RUSTFLAGS would each change rounding somewhere, so none may appear in
+# code, manifests or scripts (prose and this guard itself are exempt).
+bad=0
+if grep -rnE '\bmul_add\(|target_feature.*fma' --include='*.rs' \
+    --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git .; then
+    bad=1
+fi
+if grep -rnE 'target-cpu|\+fma' --include='*.toml' --include='*.sh' \
+    --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git --exclude=ci.sh .; then
+    bad=1
+fi
+if find . \( -name target -o -name .bench_build -o -name .git \) -prune -o -path '*/.cargo/config*' -print | grep .; then
+    bad=1
+fi
+if [ "$bad" -ne 0 ]; then
+    echo "error: FMA / target-cpu / .cargo/config found — kernel results would differ between machines" >&2
+    exit 1
+fi
+# Every unsafe block in sf-tensor must carry a `// SAFETY:` argument; the
+# crate denies the lint, this just fails early if the attribute is dropped.
+if ! grep -q 'deny(clippy::undocumented_unsafe_blocks)' crates/tensor/src/lib.rs; then
+    echo "error: sf-tensor no longer denies clippy::undocumented_unsafe_blocks" >&2
+    exit 1
+fi
+echo "    ok: no FMA, no target-cpu, no cargo config; sf-tensor unsafe blocks must be documented"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -43,6 +74,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> kernel ISA level of this run (attribute recorded numbers to it)"
+./target/release/roadseg info | grep "kernel ISA"
 
 echo "==> fault-matrix smoke (sensor fault injection + graceful degradation)"
 cargo test -q -p sf-bench --test experiments_smoke fault_matrix_smoke
