@@ -28,12 +28,18 @@ impl AuxiliaryWeightNetwork {
     /// Panics if `channels == 0`.
     pub fn new(channels: usize, rng: &mut TensorRng) -> Self {
         assert!(channels > 0, "AWN requires at least one channel");
-        let hidden = (channels / 2).max(2);
+        let hidden = Self::hidden_width(channels);
         AuxiliaryWeightNetwork {
             fc1: Linear::new(channels, hidden, true, rng),
             fc2: Linear::new(hidden, 1, true, rng),
             channels,
         }
+    }
+
+    /// Width of the hidden fully-connected layer for `channels`-wide
+    /// features.
+    pub(crate) fn hidden_width(channels: usize) -> usize {
+        (channels / 2).max(2)
     }
 
     /// Computes the per-input fusion weight node of shape `[N, 1, 1, 1]`

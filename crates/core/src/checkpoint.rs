@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 use sf_nn::{Stateful, TaggedTensor, TensorPayload};
 use sf_tensor::int8::quantize_per_row;
 
+use crate::arch::describe;
 use crate::config::{FusionScheme, NetworkConfig};
 use crate::network::FusionNet;
 use crate::plan::CalibrationProfile;
@@ -215,8 +216,9 @@ pub fn load_checkpoint_full(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, 
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let (scheme, config) = parse_manifest(line.trim_end())?;
-    let mut net = FusionNet::new(scheme, &config)
-        .map_err(|e| CheckpointError::Invalid(format!("manifest names an invalid network: {e}")))?;
+    let invalid_network =
+        |e| CheckpointError::Invalid(format!("manifest names an invalid network: {e}"));
+    config.validate().map_err(invalid_network)?;
     let profile = if reader.fill_buf()?.starts_with(b"act-scales") {
         let mut scales = String::new();
         reader.read_line(&mut scales)?;
@@ -226,6 +228,19 @@ pub fn load_checkpoint_full(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, 
     };
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest)?;
+    // The manifest is untrusted: before allocating a network of the size
+    // it names, check that size against the bytes actually present. Every
+    // parameter occupies at least one payload byte (int8 conv weights;
+    // everything else is four).
+    let params = describe(scheme, &config, true).cost().map(|c| c.params);
+    if params.is_none_or(|p| p > rest.len() as u64) {
+        return Err(CheckpointError::Invalid(format!(
+            "manifest names a network of {} parameters but only {} payload bytes follow",
+            params.map_or("more than 2^64".to_string(), |p| p.to_string()),
+            rest.len()
+        )));
+    }
+    let mut net = FusionNet::new(scheme, &config).map_err(invalid_network)?;
     net.load_state(&rest[..])
         .map_err(|e| CheckpointError::Invalid(format!("checkpoint rejected: {e}")))?;
     Ok(LoadedCheckpoint { net, profile })
@@ -336,6 +351,41 @@ mod tests {
             load_checkpoint("/definitely/not/here.sfm"),
             Err(CheckpointError::Io(_))
         ));
+    }
+
+    #[test]
+    fn hostile_manifests_are_rejected_before_anything_is_allocated() {
+        // Each first line used to panic or abort inside `FusionNet::new`
+        // (zero-width conv, a 576 GB allocation, `1 << 64`, usize
+        // overflow) before a single payload byte was looked at.
+        let many = vec!["4"; 64].join(",");
+        let max = u64::MAX;
+        for (case, fields) in [
+            ("zero stage width", "channels=4,0,8".to_string()),
+            ("giant stage width", "channels=4,4000000000,8".to_string()),
+            ("64 stages", format!("channels={many}")),
+            ("u64::MAX stage width", format!("channels=4,{max},8")),
+            ("u64::MAX width", format!("width={max} channels=4,8")),
+            (
+                "giant depth width",
+                "channels=4,8 depth=4000000000".to_string(),
+            ),
+        ] {
+            let path = std::env::temp_dir().join(format!(
+                "sf_core_hostile_{}.sfm",
+                case.replace([' ', ':'], "_")
+            ));
+            let manifest = format!(
+                "roadseg-v1 scheme=baseline width=96 height=32 shared=1 depth=1 seed=1 {fields}\n"
+            );
+            std::fs::write(&path, [manifest.as_bytes(), &[0u8; 64]].concat()).unwrap();
+            let loaded = load_checkpoint(&path);
+            std::fs::remove_file(&path).unwrap();
+            assert!(
+                matches!(loaded, Err(CheckpointError::Invalid(_))),
+                "{case}: {loaded:?}"
+            );
+        }
     }
 
     #[test]

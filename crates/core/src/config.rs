@@ -35,6 +35,17 @@ pub enum ConfigError {
     },
     /// `depth_channels` is zero.
     NoDepthChannels,
+    /// A stage has zero output channels.
+    ZeroStageWidth {
+        /// Index of the first zero-width stage.
+        stage: usize,
+    },
+    /// So many stages that the down-sampling factor `2^stages` does not
+    /// fit in a `usize`.
+    TooManyStages {
+        /// Number of encoder stages.
+        stages: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -69,6 +80,13 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NoDepthChannels => {
                 write!(f, "the depth branch needs at least one input channel")
             }
+            ConfigError::ZeroStageWidth { stage } => {
+                write!(f, "stage {stage} has zero output channels")
+            }
+            ConfigError::TooManyStages { stages } => write!(
+                f,
+                "{stages} stages: the down-sampling factor 2^{stages} overflows"
+            ),
         }
     }
 }
@@ -206,9 +224,9 @@ impl NetworkConfig {
         self.stage_channels.len()
     }
 
-    /// Validates divisibility of the input resolution by the total
-    /// down-sampling factor, the shared-stage range and the depth-branch
-    /// width.
+    /// Validates the stage widths and count, divisibility of the input
+    /// resolution by the total down-sampling factor, the shared-stage
+    /// range and the depth-branch width.
     ///
     /// # Errors
     ///
@@ -232,7 +250,13 @@ impl NetworkConfig {
             return Err(ConfigError::NoStages);
         }
         let stages = self.stages();
-        let factor = 1usize << stages;
+        if let Some(stage) = self.stage_channels.iter().position(|&c| c == 0) {
+            return Err(ConfigError::ZeroStageWidth { stage });
+        }
+        let factor = u32::try_from(stages)
+            .ok()
+            .and_then(|s| 1usize.checked_shl(s))
+            .ok_or(ConfigError::TooManyStages { stages })?;
         if !self.width.is_multiple_of(factor) || !self.height.is_multiple_of(factor) {
             return Err(ConfigError::ResolutionNotDivisible {
                 width: self.width,
@@ -390,6 +414,22 @@ mod tests {
         let mut c = NetworkConfig::standard();
         c.stage_channels.clear();
         assert_eq!(c.validate(), Err(ConfigError::NoStages));
+    }
+
+    #[test]
+    fn degenerate_stage_lists_are_rejected() {
+        let mut c = NetworkConfig::standard();
+        c.stage_channels[1] = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroStageWidth { stage: 1 }));
+        // 2^64 does not fit: a typed error, not a shift overflow.
+        let mut c = NetworkConfig::standard();
+        c.stage_channels = vec![4; usize::BITS as usize];
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyStages {
+                stages: usize::BITS as usize
+            })
+        );
     }
 
     #[test]

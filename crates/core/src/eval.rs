@@ -80,16 +80,6 @@ pub fn predict_probability(net: &FusionNet, sample: &Sample) -> GrayImage {
     GrayImage::from_tensor(&prediction.prob)
 }
 
-/// One slot's result from [`Predictor::run_slots`].
-#[derive(Debug, Clone)]
-pub struct BatchPrediction {
-    /// Per-pixel road probability map, `[H, W]`.
-    pub prob: Tensor,
-    /// Why this slot's depth input was quarantined, if it was (in which
-    /// case `prob` came from the camera-only path).
-    pub quarantined: Option<HealthIssue>,
-}
-
 /// Evaluates `net` over `samples`, pooling pixels across all of them
 /// (exactly how the KITTI server pools a category's test frames).
 pub fn evaluate(

@@ -36,6 +36,11 @@
 //! # Ok::<(), sf_core::ConfigError>(())
 //! ```
 
+// The crate's only `unsafe` sites (the per-image workspace regions of
+// `plan::exec`) must each argue their soundness.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+mod arch;
 mod awn;
 mod checkpoint;
 mod config;
@@ -55,7 +60,7 @@ pub use checkpoint::{
 };
 pub use config::{ConfigError, FusionScheme, NetworkConfig, NetworkConfigBuilder};
 pub use eval::{
-    evaluate, evaluate_with_predictor, evaluate_with_report, predict_probability, BatchPrediction,
+    evaluate, evaluate_with_predictor, evaluate_with_report, predict_probability,
     DegradationReport, EvalOptions,
 };
 pub use fd_loss::{fd_loss, fd_loss_raw};

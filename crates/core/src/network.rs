@@ -1,12 +1,15 @@
 //! The two-branch fusion network and its five architectural variants.
 
+use std::sync::Arc;
+
 use sf_autograd::{Graph, NodeId};
-use sf_nn::{Conv2d, Cost, Mode, Module, Param, Parameterized};
+use sf_nn::{BatchNorm2d, Conv2d, Cost, Mode, Module, Param, Parameterized};
 use sf_tensor::{Conv2dSpec, TensorRng};
 
+use crate::arch::{describe, Arch, LayerRef, Op, Plus, Val};
 use crate::awn::AuxiliaryWeightNetwork;
 use crate::config::{ConfigError, FusionScheme, NetworkConfig};
-use crate::stage::{DecoderStage, EncoderStage};
+use crate::stage::Stage;
 
 /// The nodes produced by one forward pass of a [`FusionNet`].
 #[derive(Debug, Clone)]
@@ -33,50 +36,26 @@ pub struct ForwardOutput {
 /// - Decoder: nearest-up-sampling stages with additive skip connections
 ///   from the fused encoder features, ending in a `1×1` segmentation
 ///   head.
+///
+/// The struct owns the weights; how they are wired together is the
+/// architecture description (`crate::arch`), built once at construction
+/// and walked by every forward pass, plan compile and cost query.
 #[derive(Debug, Clone)]
 pub struct FusionNet {
     scheme: FusionScheme,
     config: NetworkConfig,
-    pub(crate) rgb_stages: Vec<EncoderStage>,
+    fused: Arc<Arch>,
+    camera_only: Arc<Arch>,
+    pub(crate) rgb_stages: Vec<Stage>,
     /// One fewer entry than `rgb_stages` under Layer-sharing.
-    pub(crate) depth_stages: Vec<EncoderStage>,
+    pub(crate) depth_stages: Vec<Stage>,
     /// Depth→RGB Fusion-filters, one per stage (AU and AB).
     pub(crate) filters_d2r: Vec<Conv2d>,
     /// RGB→Depth Fusion-filters, one per stage (AB only).
     pub(crate) filters_r2d: Vec<Conv2d>,
     pub(crate) awn: Option<AuxiliaryWeightNetwork>,
-    pub(crate) decoder: Vec<DecoderStage>,
+    pub(crate) decoder: Vec<Stage>,
     pub(crate) head: Conv2d,
-}
-
-/// How the depth contribution entering a stage's fusion sum is produced
-/// (the `d_contrib` term of Eq. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DepthContribution {
-    /// The raw depth features are summed in directly (Baseline, BS, and
-    /// every non-deepest WS stage).
-    Direct,
-    /// Through the stage's depth→RGB `1×1` Fusion-filter (AU, AB).
-    FilteredD2r,
-    /// Scaled by the per-input AWN weight (WS, deepest stage only).
-    AwnWeighted,
-}
-
-/// The per-stage fusion wiring of a [`FusionNet`], fully determined by the
-/// scheme and configuration. Both forward paths and the compiled-plan
-/// builder consume this one description, so the three can never drift.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StageWiring {
-    /// Stage index (also indexes `rgb_stages` / `filters_*`).
-    pub index: usize,
-    /// The depth stream runs through the *RGB* stage's filters
-    /// (Layer-sharing at the deepest stages).
-    pub shared: bool,
-    /// How the depth features enter the fusion sum.
-    pub d_contrib: DepthContribution,
-    /// The depth stream additionally receives the RGB features through a
-    /// reverse Fusion-filter (AB, all but the deepest stage).
-    pub reverse_filter: bool,
 }
 
 impl FusionNet {
@@ -107,12 +86,12 @@ impl FusionNet {
             } else {
                 chans[i - 1]
             };
-            rgb_stages.push(EncoderStage::new(in_rgb, chans[i], &mut rng));
+            rgb_stages.push(Stage::new(in_rgb, chans[i], &mut rng));
             // Shared stages must accept both branches' inputs, which is
             // only well-formed from stage 1 on (validate() enforces
             // shared_stages < stages).
             if i < shared_from {
-                depth_stages.push(EncoderStage::new(in_depth, chans[i], &mut rng));
+                depth_stages.push(Stage::new(in_depth, chans[i], &mut rng));
             }
         }
 
@@ -151,14 +130,16 @@ impl FusionNet {
         // full-resolution stage, then a 1×1 head.
         let mut decoder = Vec::with_capacity(stages);
         for i in (0..stages - 1).rev() {
-            decoder.push(DecoderStage::new(chans[i + 1], chans[i], &mut rng));
+            decoder.push(Stage::new(chans[i + 1], chans[i], &mut rng));
         }
-        decoder.push(DecoderStage::new(chans[0], chans[0], &mut rng));
+        decoder.push(Stage::new(chans[0], chans[0], &mut rng));
         let head = Conv2d::new(chans[0], 1, 1, Conv2dSpec::default(), true, &mut rng);
 
         Ok(FusionNet {
             scheme,
             config: config.clone(),
+            fused: Arc::new(describe(scheme, config, true)),
+            camera_only: Arc::new(describe(scheme, config, false)),
             rgb_stages,
             depth_stages,
             filters_d2r,
@@ -179,33 +160,40 @@ impl FusionNet {
         &self.config
     }
 
-    /// The per-stage fusion wiring, deepest stage last. This is the single
-    /// source of truth for how the two branches interact — [`Self::forward`],
-    /// [`Self::cost`] and the compiled-plan builder all walk it.
-    pub(crate) fn stage_wiring(&self) -> Vec<StageWiring> {
-        let stages = self.config.stages();
-        let shared_from = if self.scheme.shares_deep_stage() {
-            stages - self.config.shared_stages
+    /// The architecture description: both branches and the fusion
+    /// mechanism, or the RGB column alone.
+    pub(crate) fn arch(&self, with_depth: bool) -> &Arc<Arch> {
+        if with_depth {
+            &self.fused
         } else {
-            stages
+            &self.camera_only
+        }
+    }
+
+    /// The convolution (and BatchNorm, if it has one) a description node
+    /// names.
+    pub(crate) fn layer(&self, layer: LayerRef) -> (&Conv2d, Option<&BatchNorm2d>) {
+        let stage = match layer {
+            LayerRef::RgbStage(i) => &self.rgb_stages[i],
+            LayerRef::DepthStage(i) => &self.depth_stages[i],
+            LayerRef::Decoder(k) => &self.decoder[k],
+            LayerRef::D2r(i) => return (&self.filters_d2r[i], None),
+            LayerRef::R2d(i) => return (&self.filters_r2d[i], None),
+            LayerRef::Head => return (&self.head, None),
         };
-        (0..stages)
-            .map(|i| {
-                let d_contrib = if self.scheme.has_fusion_filter() {
-                    DepthContribution::FilteredD2r
-                } else if i == stages - 1 && self.scheme == FusionScheme::WeightedSharing {
-                    DepthContribution::AwnWeighted
-                } else {
-                    DepthContribution::Direct
-                };
-                StageWiring {
-                    index: i,
-                    shared: i >= shared_from,
-                    d_contrib,
-                    reverse_filter: self.scheme == FusionScheme::AllFilterB && i < stages - 1,
-                }
-            })
-            .collect()
+        (&stage.conv, Some(&stage.bn))
+    }
+
+    fn layer_mut(&mut self, layer: LayerRef) -> (&mut Conv2d, Option<&mut BatchNorm2d>) {
+        let stage = match layer {
+            LayerRef::RgbStage(i) => &mut self.rgb_stages[i],
+            LayerRef::DepthStage(i) => &mut self.depth_stages[i],
+            LayerRef::Decoder(k) => &mut self.decoder[k],
+            LayerRef::D2r(i) => return (&mut self.filters_d2r[i], None),
+            LayerRef::R2d(i) => return (&mut self.filters_r2d[i], None),
+            LayerRef::Head => return (&mut self.head, None),
+        };
+        (&mut stage.conv, Some(&mut stage.bn))
     }
 
     /// Records a full forward pass for a batch: `rgb` is `[N, 3, H, W]`,
@@ -221,50 +209,7 @@ impl FusionNet {
         depth: NodeId,
         mode: Mode,
     ) -> ForwardOutput {
-        let stages = self.config.stages();
-        let mut fusion_pairs = Vec::with_capacity(stages);
-        let mut fused_maps = Vec::with_capacity(stages);
-        let mut r = rgb;
-        let mut d = depth;
-        for w in self.stage_wiring() {
-            let i = w.index;
-            // Encoder stages: under sharing, the deepest RGB stage also
-            // processes the depth stream (same filters, twice bound).
-            let r_feat = self.rgb_stages[i].forward(g, r, mode);
-            let d_feat = if w.shared {
-                self.rgb_stages[i].forward(g, d, mode)
-            } else {
-                self.depth_stages[i].forward(g, d, mode)
-            };
-            // Depth contribution entering the RGB branch (Eq. 2).
-            let d_contrib = match w.d_contrib {
-                DepthContribution::FilteredD2r => self.filters_d2r[i].forward(g, d_feat, mode),
-                DepthContribution::AwnWeighted => {
-                    let awn = self.awn.as_mut().expect("WS always builds an AWN");
-                    let weight = awn.weight(g, r_feat, d_feat, mode);
-                    g.mul(d_feat, weight)
-                }
-                DepthContribution::Direct => d_feat,
-            };
-            fusion_pairs.push((r_feat, d_contrib));
-            let fused = g.add(r_feat, d_contrib);
-            fused_maps.push(fused);
-            r = fused;
-            // The depth branch continues with its own features; under the
-            // bidirectional filter it also receives the RGB features
-            // through the reverse Fusion-filter.
-            d = if w.reverse_filter {
-                let r_contrib = self.filters_r2d[i].forward(g, r_feat, mode);
-                g.add(d_feat, r_contrib)
-            } else {
-                d_feat
-            };
-        }
-        let logits = self.decode(g, &fused_maps, mode);
-        ForwardOutput {
-            logits,
-            fusion_pairs,
-        }
+        self.interpret(g, rgb, Some(depth), mode)
     }
 
     /// Records a camera-only forward pass: the RGB encoder runs alone and
@@ -276,36 +221,72 @@ impl FusionNet {
     /// prediction depends only on the camera. `fusion_pairs` is empty
     /// (there are no fusions to measure a disparity over).
     pub fn forward_camera_only(&mut self, g: &mut Graph, rgb: NodeId, mode: Mode) -> ForwardOutput {
-        let stages = self.config.stages();
-        let mut fused_maps = Vec::with_capacity(stages);
-        let mut r = rgb;
-        // Same wiring walk as `forward`, with every depth interaction
-        // dead-branch eliminated: only the RGB column executes.
-        for w in self.stage_wiring() {
-            r = self.rgb_stages[w.index].forward(g, r, mode);
-            fused_maps.push(r);
-        }
-        let logits = self.decode(g, &fused_maps, mode);
-        ForwardOutput {
-            logits,
-            fusion_pairs: Vec::new(),
-        }
+        self.interpret(g, rgb, None, mode)
     }
 
-    /// Decoder with additive skips from the (fused) encoder maps, shared
-    /// by the fused and camera-only forward paths.
-    fn decode(&mut self, g: &mut Graph, fused_maps: &[NodeId], mode: Mode) -> NodeId {
-        let stages = self.config.stages();
-        let mut x = *fused_maps.last().expect("at least one stage");
-        for (k, stage) in self.decoder.iter_mut().enumerate() {
-            x = stage.forward(g, x, mode);
-            // Skip connections for all but the final full-resolution stage.
-            if k < stages - 1 {
-                let skip = fused_maps[stages - 2 - k];
-                x = g.add(x, skip);
+    /// The graph lowering: records the description's nodes on `g` in
+    /// order — fused when a depth node is given, camera-only otherwise.
+    fn interpret(
+        &mut self,
+        g: &mut Graph,
+        rgb: NodeId,
+        depth: Option<NodeId>,
+        mode: Mode,
+    ) -> ForwardOutput {
+        let arch = Arc::clone(self.arch(depth.is_some()));
+        let mut vals: Vec<NodeId> = Vec::with_capacity(arch.nodes.len());
+        let mut fusion_pairs = Vec::new();
+        for node in &arch.nodes {
+            let at = |v: Val| match v {
+                Val::Rgb => rgb,
+                Val::Depth => depth.expect("a camera-only description never reads depth"),
+                Val::Node(i) => vals[i],
+            };
+            let (mut out, plus) = match node.op {
+                Op::Conv {
+                    input,
+                    layer,
+                    relu,
+                    plus,
+                    ..
+                } => {
+                    let (conv, bn) = self.layer_mut(layer);
+                    let mut y = conv.forward(g, at(input), mode);
+                    if let Some(bn) = bn {
+                        y = bn.forward(g, y, mode);
+                    }
+                    (if relu { g.relu(y) } else { y }, plus)
+                }
+                Op::Pool { input, plus } => (g.max_pool2d(at(input), 2, 2), plus),
+                Op::Upsample { input } => (g.upsample_nearest2d(at(input), 2), None),
+                Op::Awn { r, d } => {
+                    let awn = self.awn.as_mut().expect("WS always builds an AWN");
+                    (awn.weight(g, at(r), at(d), mode), None)
+                }
+                Op::MulAdd { r, d, weight } => {
+                    let d_contrib = g.mul(at(d), at(weight));
+                    fusion_pairs.push((at(r), d_contrib));
+                    (g.add(at(r), d_contrib), None)
+                }
+                // The training loss takes raw logits; only plans run the
+                // probability head.
+                Op::Sigmoid { input } => (at(input), None),
+            };
+            if let Some(plus) = plus {
+                let operand = at(plus.operand());
+                match plus {
+                    Plus::FuseDepth(_) => fusion_pairs.push((out, operand)),
+                    Plus::FuseRgb(_) => fusion_pairs.push((operand, out)),
+                    Plus::Sum(_) => {}
+                }
+                out = g.add(out, operand);
             }
+            vals.push(out);
         }
-        self.head.forward(g, x, mode)
+        ForwardOutput {
+            logits: *vals.last().expect("a description ends in its output"),
+            fusion_pairs,
+        }
     }
 
     /// Analytic per-image cost (MACs and parameters) of the whole
@@ -314,56 +295,9 @@ impl FusionNet {
     /// Layer-sharing halves the deepest stage's *parameters* but not its
     /// MACs (both streams are still processed); Fusion-filters add both.
     pub fn cost(&self) -> Cost {
-        let stages = self.config.stages();
-        let (h, w) = (self.config.height, self.config.width);
-        let mut total = Cost::default();
-        // RGB branch.
-        let mut shape = (3usize, h, w);
-        let mut rgb_shapes = Vec::with_capacity(stages);
-        for stage in &self.rgb_stages {
-            let (c, s) = stage.cost(shape);
-            total = total + c;
-            shape = s;
-            rgb_shapes.push(s);
-        }
-        // Depth branch: MACs for every stage; parameters only for owned
-        // (non-shared) stages.
-        let mut dshape = (self.config.depth_channels, h, w);
-        for wiring in self.stage_wiring() {
-            if wiring.shared {
-                let (c, s) = self.rgb_stages[wiring.index].cost(dshape);
-                total.macs += c.macs; // params already counted in RGB pass
-                dshape = s;
-            } else {
-                let (c, s) = self.depth_stages[wiring.index].cost(dshape);
-                total = total + c;
-                dshape = s;
-            }
-        }
-        // Fusion-filters.
-        for (i, f) in self.filters_d2r.iter().enumerate() {
-            let (c, _) = f.cost(rgb_shapes[i]);
-            total = total + c;
-        }
-        for (i, f) in self.filters_r2d.iter().enumerate() {
-            let (c, _) = f.cost(rgb_shapes[i]);
-            total = total + c;
-        }
-        // AWN.
-        if let Some(awn) = &self.awn {
-            let deep = rgb_shapes[stages - 1];
-            let (c, _) = awn.cost(deep);
-            total = total + c;
-        }
-        // Decoder.
-        let mut x = rgb_shapes[stages - 1];
-        for stage in &self.decoder {
-            let (c, s) = stage.cost(x);
-            total = total + c;
-            x = s;
-        }
-        let (c, _) = self.head.cost(x);
-        total + c
+        self.fused
+            .cost()
+            .expect("a constructed network's cost fits in u64")
     }
 }
 

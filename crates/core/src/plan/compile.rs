@@ -1,21 +1,28 @@
-//! Freezing a [`FusionNet`] into a flat op list with a static scratch
-//! schedule.
+//! Lowering a [`FusionNet`]'s architecture description to a flat op list
+//! with a static scratch schedule.
 //!
-//! Compilation walks the network's [`stage wiring`](FusionNet::stage_wiring)
-//! once and emits a linear sequence of [`PlanOp`]s with every shape
-//! pre-computed. Three rewrites happen on the way:
+//! Compilation walks the network's description (`crate::arch`) once: one
+//! node becomes one [`PlanOp`], its weights frozen from the layer the node
+//! names and every shape read off the description. The description
+//! already says where each element-wise sum rides and which nodes a
+//! camera-only network lacks, so the plan's three rewrites fall out of
+//! the lowering rather than being decided here:
 //!
-//! - **Epilogue fusion** — each convolution op carries its bias add, the
-//!   folded inference-mode BatchNorm constants and the ReLU, applied in one
-//!   pass over the output instead of four broadcast passes.
-//! - **Sum folding** — every element-wise fusion sum (Eq. 2, decoder
-//!   skips, the AB reverse filter) is folded into the producing kernel as
-//!   an `accumulate` operand, so the sum costs zero extra passes.
-//! - **Dead-branch elimination** — a [`PlanMode::CameraOnly`] plan simply
-//!   never emits the depth column or any fusion op; degraded traffic
-//!   executes exactly one branch.
+//! - **Epilogue fusion** — a conv node carries its bias add, BatchNorm and
+//!   ReLU flags; the op applies them (BatchNorm folded to inference-mode
+//!   constants) in one pass over the output instead of four broadcast
+//!   passes.
+//! - **Sum folding** — a node's `plus` operand (Eq. 2 fusion sums, decoder
+//!   skips, the AB reverse filter) becomes the producing kernel's
+//!   `accumulate` operand, so the sum costs zero extra passes.
+//! - **Dead-branch elimination** — a [`PlanMode::CameraOnly`] plan lowers
+//!   the camera-only description, which has no depth column or fusion
+//!   node; degraded traffic executes exactly one branch.
 //!
-//! After emission a linear-scan allocator assigns every intermediate value
+//! The int8 modes lower the same nodes; only a conv's frozen weights
+//! differ ([`ConvWeights`]).
+//!
+//! After lowering a linear-scan allocator assigns every intermediate value
 //! to a reusable slot (exact-size free list, values freed after their last
 //! use), yielding an exact peak-memory reservation at plan time — the
 //! executor never consults the per-thread free list the graph path's
@@ -28,10 +35,9 @@ use sf_nn::BatchNorm2d;
 use sf_tensor::int8::quantize_per_row;
 use sf_tensor::{Conv2dSpec, Tensor};
 
-use super::quant::{CalibrationProfile, QuantError, INPUT_DEPTH, INPUT_RGB};
-use crate::awn::AuxiliaryWeightNetwork;
-use crate::network::{DepthContribution, FusionNet};
-use crate::stage::EncoderStage;
+use super::quant::{CalibrationProfile, QuantError};
+use crate::arch::{Arch, Chw, Op, Val};
+use crate::network::FusionNet;
 
 /// Which branch set a plan freezes, and at what precision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,102 +155,68 @@ fn fold_bn(bn: &BatchNorm2d) -> BnFold {
     }
 }
 
+/// A convolution's frozen weight matrix, `[out_c, patch]` row-major.
+#[derive(Debug, Clone)]
+pub(crate) enum ConvWeights {
+    F32(Tensor),
+    /// Quantized per output channel (`wscale[oc]`); the input plane is
+    /// quantized with the calibrated activation scale `in_scale`, products
+    /// accumulate in i32 and dequantize through `in_scale · wscale[oc]`
+    /// before the (still-f32) epilogue.
+    I8 {
+        wq: Vec<i8>,
+        wscale: Vec<f32>,
+        in_scale: f32,
+    },
+}
+
 /// A convolution with its fused epilogue: `im2col · W` then, per output
 /// element in one pass: `+bias[c]`, folded BatchNorm, ReLU, `+accumulate`.
 #[derive(Debug, Clone)]
 pub(crate) struct ConvOp {
-    pub label: String,
     pub input: Ref,
-    /// Weights reshaped to `[out_c, patch]` at compile time.
-    pub wmat: Tensor,
+    pub weights: ConvWeights,
     pub bias: Option<Vec<f32>>,
     pub bn: Option<BnFold>,
     pub relu: bool,
     /// Folded element-wise sum: the referenced value is added to each
     /// output element after the epilogue.
     pub accumulate: Option<Ref>,
-    pub out: usize,
     pub geom: ConvGeom,
 }
 
-/// [`ConvOp`] lowered to int8: the weight matrix quantized per output
-/// channel, the input plane quantized with one calibrated activation
-/// scale, products accumulated in i32 and dequantized through
-/// `in_scale · wscale[oc]` before the (still-f32) epilogue.
-#[derive(Debug, Clone)]
-pub(crate) struct QConvOp {
-    pub label: String,
-    pub input: Ref,
-    /// Quantized weights, row-major `[out_c, patch]`.
-    pub wq: Vec<i8>,
-    /// One symmetric weight scale per output channel.
-    pub wscale: Vec<f32>,
-    /// The input activation's calibrated scale.
-    pub in_scale: f32,
-    pub bias: Option<Vec<f32>>,
-    pub bn: Option<BnFold>,
-    pub relu: bool,
-    pub accumulate: Option<Ref>,
-    pub out: usize,
-    pub geom: ConvGeom,
+/// Per-image scratch an op needs while it runs, beyond its operands:
+/// `(f32, i8, i32)` element counts.
+pub(crate) type Workspace = (usize, usize, usize);
+
+/// A [`Workspace`] in f32-equivalent elements (i8 packs 4 per element,
+/// i32 is 1:1) — the unit the scratch schedule's peak accounting uses.
+pub(crate) fn f32_equiv((f, q, acc): Workspace) -> usize {
+    f + q.div_ceil(4) + acc
 }
 
-impl QConvOp {
-    /// i8 workspace elements per image: the quantized input plane plus
-    /// the int8 im2col patch matrix.
-    pub fn q_ws(&self) -> usize {
-        self.geom.in_plane() + self.geom.patch() * self.geom.cols()
-    }
-
-    /// i32 accumulator elements per image (one output plane).
-    pub fn acc_ws(&self) -> usize {
-        self.geom.out_plane()
-    }
-
-    /// The in-flight workspace expressed in f32-equivalent elements
-    /// (i8 packs 4 per element, i32 is 1:1) — the unit the scratch
-    /// schedule's peak accounting uses.
-    pub fn ws_f32_equiv(&self) -> usize {
-        self.q_ws().div_ceil(4) + self.acc_ws()
-    }
-}
-
-/// One frozen op. `out` indexes the scratch-slot table after
-/// finalization (value ids during building).
+/// What a frozen op computes. `(c, h, w)` is always the *input* geometry.
 #[derive(Debug, Clone)]
-pub(crate) enum PlanOp {
+pub(crate) enum OpKind {
     Conv(ConvOp),
-    QConv(QConvOp),
     /// 2×2 stride-2 max pool, optionally accumulating a folded fusion sum
-    /// into its output pass. `(c, h, w)` is the *input* geometry.
+    /// into its output pass.
     MaxPool {
-        label: String,
         input: Ref,
-        out: usize,
-        c: usize,
-        h: usize,
-        w: usize,
+        chw: Chw,
         accumulate: Option<Ref>,
     },
-    /// ×2 nearest-neighbour upsample. `(c, h, w)` is the input geometry.
+    /// ×2 nearest-neighbour upsample.
     Upsample {
-        label: String,
         input: Ref,
-        out: usize,
-        c: usize,
-        h: usize,
-        w: usize,
+        chw: Chw,
     },
     /// The AWN weight head: `GAP(r − d) → fc1 → ReLU → fc2 → sigmoid`,
     /// one scalar per image.
     AwnWeight {
-        label: String,
         r: Ref,
         d: Ref,
-        out: usize,
-        c: usize,
-        h: usize,
-        w: usize,
+        chw: Chw,
         fc1_w: Tensor,
         fc1_b: Tensor,
         fc2_w: Tensor,
@@ -253,126 +225,75 @@ pub(crate) enum PlanOp {
     /// The WS fusion sum with its scalar weight folded in:
     /// `out[i] = r[i] + d[i] · w[img]`.
     MulAdd {
-        label: String,
         r: Ref,
         d: Ref,
         weight: Ref,
-        out: usize,
         elems: usize,
     },
     /// Element-wise logistic sigmoid (the probability head).
     Sigmoid {
-        label: String,
         input: Ref,
-        out: usize,
         elems: usize,
     },
 }
 
+/// One frozen op.
+#[derive(Debug, Clone)]
+pub(crate) struct PlanOp {
+    /// The description node's label — also the calibration key of the
+    /// value this op writes.
+    pub label: String,
+    /// The scratch slot written (the node's value id until `finalize`).
+    pub out: usize,
+    pub kind: OpKind,
+}
+
 impl PlanOp {
-    pub(crate) fn out_val(&self) -> usize {
-        match self {
-            PlanOp::Conv(c) => c.out,
-            PlanOp::QConv(c) => c.out,
-            PlanOp::MaxPool { out, .. }
-            | PlanOp::Upsample { out, .. }
-            | PlanOp::AwnWeight { out, .. }
-            | PlanOp::MulAdd { out, .. }
-            | PlanOp::Sigmoid { out, .. } => *out,
-        }
-    }
-
-    fn set_out(&mut self, slot: usize) {
-        match self {
-            PlanOp::Conv(c) => c.out = slot,
-            PlanOp::QConv(c) => c.out = slot,
-            PlanOp::MaxPool { out, .. }
-            | PlanOp::Upsample { out, .. }
-            | PlanOp::AwnWeight { out, .. }
-            | PlanOp::MulAdd { out, .. }
-            | PlanOp::Sigmoid { out, .. } => *out = slot,
-        }
-    }
-
-    /// The op's label — also the calibration key of the value it writes.
-    pub(crate) fn label(&self) -> &str {
-        match self {
-            PlanOp::Conv(c) => &c.label,
-            PlanOp::QConv(c) => &c.label,
-            PlanOp::MaxPool { label, .. }
-            | PlanOp::Upsample { label, .. }
-            | PlanOp::AwnWeight { label, .. }
-            | PlanOp::MulAdd { label, .. }
-            | PlanOp::Sigmoid { label, .. } => label,
-        }
-    }
-
-    /// Every value this op reads (inputs, accumulate and weight operands).
-    fn reads(&self) -> Vec<Ref> {
-        match self {
-            PlanOp::Conv(c) => {
-                let mut v = vec![c.input];
-                v.extend(c.accumulate);
-                v
-            }
-            PlanOp::QConv(c) => {
-                let mut v = vec![c.input];
-                v.extend(c.accumulate);
-                v
-            }
-            PlanOp::MaxPool {
-                input, accumulate, ..
-            } => {
-                let mut v = vec![*input];
-                v.extend(*accumulate);
-                v
-            }
-            PlanOp::Upsample { input, .. } | PlanOp::Sigmoid { input, .. } => vec![*input],
-            PlanOp::AwnWeight { r, d, .. } => vec![*r, *d],
-            PlanOp::MulAdd { r, d, weight, .. } => vec![*r, *d, *weight],
-        }
-    }
-
+    /// Visits every value this op reads (inputs, accumulate and weight
+    /// operands).
     fn for_each_ref(&mut self, f: &mut impl FnMut(&mut Ref)) {
-        match self {
-            PlanOp::Conv(c) => {
-                f(&mut c.input);
-                if let Some(a) = &mut c.accumulate {
-                    f(a);
-                }
-            }
-            PlanOp::QConv(c) => {
-                f(&mut c.input);
-                if let Some(a) = &mut c.accumulate {
-                    f(a);
-                }
-            }
-            PlanOp::MaxPool {
+        match &mut self.kind {
+            OpKind::Conv(ConvOp {
+                input, accumulate, ..
+            })
+            | OpKind::MaxPool {
                 input, accumulate, ..
             } => {
                 f(input);
-                if let Some(a) = accumulate {
-                    f(a);
+                accumulate.iter_mut().for_each(f);
+            }
+            OpKind::Upsample { input, .. } | OpKind::Sigmoid { input, .. } => f(input),
+            OpKind::AwnWeight { r, d, .. } => [r, d].into_iter().for_each(f),
+            OpKind::MulAdd { r, d, weight, .. } => [r, d, weight].into_iter().for_each(f),
+        }
+    }
+
+    /// The im2col (f32) or quantized-plane + patch-matrix (i8) and
+    /// accumulator (i32) scratch of a convolution; nothing for other ops.
+    pub(crate) fn workspace(&self) -> Workspace {
+        match &self.kind {
+            OpKind::Conv(c) => {
+                let g = &c.geom;
+                match c.weights {
+                    ConvWeights::F32(_) => (g.patch() * g.cols(), 0, 0),
+                    ConvWeights::I8 { .. } => {
+                        (0, g.in_plane() + g.patch() * g.cols(), g.out_plane())
+                    }
                 }
             }
-            PlanOp::Upsample { input, .. } | PlanOp::Sigmoid { input, .. } => f(input),
-            PlanOp::AwnWeight { r, d, .. } => {
-                f(r);
-                f(d);
-            }
-            PlanOp::MulAdd { r, d, weight, .. } => {
-                f(r);
-                f(d);
-                f(weight);
-            }
+            _ => (0, 0, 0),
         }
     }
 
     fn describe(&self) -> String {
-        match self {
-            PlanOp::Conv(c) => {
+        let (label, out) = (&self.label, self.out);
+        match &self.kind {
+            OpKind::Conv(c) => {
                 let g = &c.geom;
-                let mut epi = String::new();
+                let (name, mut epi) = match c.weights {
+                    ConvWeights::F32(_) => ("conv", String::new()),
+                    ConvWeights::I8 { in_scale, .. } => ("qconv", format!(" i8(s={in_scale:.2e})")),
+                };
                 if c.bias.is_some() {
                     epi.push_str(" +bias");
                 }
@@ -386,57 +307,20 @@ impl PlanOp {
                     epi.push_str(&format!(" +acc({a})"));
                 }
                 format!(
-                    "conv{k}x{k}  {label:<14} {input}[{ic}x{ih}x{iw}] -> s{out}[{oc}x{oh}x{ow}]{epi}",
-                    k = g.k,
-                    label = c.label,
+                    "{kind:<9}{label:<14} {input}[{ic}x{ih}x{iw}] -> s{out}[{oc}x{oh}x{ow}]{epi}",
+                    kind = format!("{name}{k}x{k}", k = g.k),
                     input = c.input,
                     ic = g.in_c,
                     ih = g.in_h,
                     iw = g.in_w,
-                    out = c.out,
                     oc = g.out_c,
                     oh = g.oh,
                     ow = g.ow,
                 )
             }
-            PlanOp::QConv(c) => {
-                let g = &c.geom;
-                let mut epi = String::new();
-                if c.bias.is_some() {
-                    epi.push_str(" +bias");
-                }
-                if c.bn.is_some() {
-                    epi.push_str(" +bn");
-                }
-                if c.relu {
-                    epi.push_str(" +relu");
-                }
-                if let Some(a) = c.accumulate {
-                    epi.push_str(&format!(" +acc({a})"));
-                }
-                format!(
-                    "qconv{k}x{k} {label:<14} {input}[{ic}x{ih}x{iw}] -> s{out}[{oc}x{oh}x{ow}] \
-                     i8(s={s:.2e}){epi}",
-                    k = g.k,
-                    label = c.label,
-                    input = c.input,
-                    ic = g.in_c,
-                    ih = g.in_h,
-                    iw = g.in_w,
-                    out = c.out,
-                    oc = g.out_c,
-                    oh = g.oh,
-                    ow = g.ow,
-                    s = c.in_scale,
-                )
-            }
-            PlanOp::MaxPool {
-                label,
+            OpKind::MaxPool {
                 input,
-                out,
-                c,
-                h,
-                w,
+                chw: (c, h, w),
                 accumulate,
             } => {
                 let acc = accumulate
@@ -448,209 +332,30 @@ impl PlanOp {
                     pw = w / 2,
                 )
             }
-            PlanOp::Upsample {
-                label,
+            OpKind::Upsample {
                 input,
-                out,
-                c,
-                h,
-                w,
+                chw: (c, h, w),
             } => format!(
                 "upx2     {label:<14} {input}[{c}x{h}x{w}] -> s{out}[{c}x{uh}x{uw}]",
                 uh = h * 2,
                 uw = w * 2,
             ),
-            PlanOp::AwnWeight {
-                label,
+            OpKind::AwnWeight {
                 r,
                 d,
-                out,
-                c,
-                h,
-                w,
+                chw: (c, h, w),
                 ..
             } => format!("awn      {label:<14} ({r},{d})[{c}x{h}x{w}] -> s{out}[1]"),
-            PlanOp::MulAdd {
-                label,
+            OpKind::MulAdd {
                 r,
                 d,
                 weight,
-                out,
                 elems,
             } => format!("muladd   {label:<14} {r} + {d}*{weight} -> s{out}[{elems}]"),
-            PlanOp::Sigmoid {
-                label,
-                input,
-                out,
-                elems,
-            } => format!("sigmoid  {label:<14} {input} -> s{out}[{elems}]"),
+            OpKind::Sigmoid { input, elems } => {
+                format!("sigmoid  {label:<14} {input} -> s{out}[{elems}]")
+            }
         }
-    }
-}
-
-/// Emits ops with fresh value ids; slots are assigned by `finalize`.
-#[derive(Default)]
-struct Builder {
-    ops: Vec<PlanOp>,
-    val_elems: Vec<usize>,
-}
-
-type Placed = (Ref, (usize, usize, usize));
-
-impl Builder {
-    fn new_val(&mut self, elems: usize) -> usize {
-        self.val_elems.push(elems);
-        self.val_elems.len() - 1
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn conv(
-        &mut self,
-        label: String,
-        input: Ref,
-        in_chw: (usize, usize, usize),
-        layer: &sf_nn::Conv2d,
-        bn: Option<&BatchNorm2d>,
-        relu: bool,
-        accumulate: Option<Ref>,
-    ) -> Placed {
-        let (c, h, w) = in_chw;
-        let wshape = layer.weight().value.shape().to_vec();
-        let (o, k) = (wshape[0], wshape[2]);
-        debug_assert_eq!(wshape[1], c, "conv input channels");
-        let spec = layer.spec();
-        let (oh, ow) = (spec.out_size(h, k), spec.out_size(w, k));
-        let wmat = layer
-            .weight()
-            .value
-            .reshape(&[o, c * k * k])
-            .expect("conv weight reshapes to [O, patch]");
-        let out = self.new_val(o * oh * ow);
-        self.ops.push(PlanOp::Conv(ConvOp {
-            label,
-            input,
-            wmat,
-            bias: layer.bias().map(|p| p.value.data().to_vec()),
-            bn: bn.map(fold_bn),
-            relu,
-            accumulate,
-            out,
-            geom: ConvGeom {
-                in_c: c,
-                in_h: h,
-                in_w: w,
-                out_c: o,
-                k,
-                spec,
-                oh,
-                ow,
-            },
-        }));
-        (Ref::Slot(out), (o, oh, ow))
-    }
-
-    fn max_pool(
-        &mut self,
-        label: String,
-        input: Ref,
-        (c, h, w): (usize, usize, usize),
-        accumulate: Option<Ref>,
-    ) -> Placed {
-        let out = self.new_val(c * (h / 2) * (w / 2));
-        self.ops.push(PlanOp::MaxPool {
-            label,
-            input,
-            out,
-            c,
-            h,
-            w,
-            accumulate,
-        });
-        (Ref::Slot(out), (c, h / 2, w / 2))
-    }
-
-    fn upsample(&mut self, label: String, input: Ref, (c, h, w): (usize, usize, usize)) -> Placed {
-        let out = self.new_val(c * h * 2 * w * 2);
-        self.ops.push(PlanOp::Upsample {
-            label,
-            input,
-            out,
-            c,
-            h,
-            w,
-        });
-        (Ref::Slot(out), (c, h * 2, w * 2))
-    }
-
-    fn awn_weight(
-        &mut self,
-        label: String,
-        awn: &AuxiliaryWeightNetwork,
-        r: Ref,
-        d: Ref,
-        (c, h, w): (usize, usize, usize),
-    ) -> Ref {
-        let out = self.new_val(1);
-        self.ops.push(PlanOp::AwnWeight {
-            label,
-            r,
-            d,
-            out,
-            c,
-            h,
-            w,
-            fc1_w: awn.fc1.weight().value.clone(),
-            fc1_b: awn.fc1.bias().expect("AWN fc1 has a bias").value.clone(),
-            fc2_w: awn.fc2.weight().value.clone(),
-            fc2_b: awn.fc2.bias().expect("AWN fc2 has a bias").value.clone(),
-        });
-        Ref::Slot(out)
-    }
-
-    fn weighted_add(&mut self, label: String, r: Ref, d: Ref, weight: Ref, elems: usize) -> Ref {
-        let out = self.new_val(elems);
-        self.ops.push(PlanOp::MulAdd {
-            label,
-            r,
-            d,
-            weight,
-            out,
-            elems,
-        });
-        Ref::Slot(out)
-    }
-
-    fn sigmoid(&mut self, label: String, input: Ref, elems: usize) -> usize {
-        let out = self.new_val(elems);
-        self.ops.push(PlanOp::Sigmoid {
-            label,
-            input,
-            out,
-            elems,
-        });
-        out
-    }
-
-    /// One encoder stage: conv (+bn +relu epilogue) then 2×2 pool. A
-    /// folded fusion sum rides on the pool's output pass.
-    fn encoder(
-        &mut self,
-        prefix: &str,
-        stage: &EncoderStage,
-        input: Ref,
-        chw: (usize, usize, usize),
-        accumulate: Option<Ref>,
-    ) -> Placed {
-        let (cv, chw) = self.conv(
-            format!("{prefix}.conv"),
-            input,
-            chw,
-            &stage.conv,
-            Some(&stage.bn),
-            true,
-            None,
-        );
-        self.max_pool(format!("{prefix}.pool"), cv, chw, accumulate)
     }
 }
 
@@ -694,156 +399,124 @@ pub struct CompiledPlan {
     pub(crate) last_high_water: usize,
 }
 
-/// Walks the network wiring and emits the full f32 op list; `with_depth`
-/// selects the fused topology vs the camera-only dead-branch-eliminated
-/// one. Returns the builder and the output value id.
-fn build_ops(net: &FusionNet, with_depth: bool) -> (Builder, usize) {
-    let cfg = net.config();
-    let (h0, w0) = (cfg.height, cfg.width);
-    let depth_chw = (cfg.depth_channels, h0, w0);
-    let mut b = Builder::default();
-    let mut fused_maps: Vec<Placed> = Vec::new();
-
-    if !with_depth {
-        let mut r: Placed = (Ref::Rgb, (3, h0, w0));
-        for wire in net.stage_wiring() {
-            let i = wire.index;
-            r = b.encoder(&format!("enc{i}.rgb"), &net.rgb_stages[i], r.0, r.1, None);
-            fused_maps.push(r);
-        }
-    } else {
-        let mut r: Placed = (Ref::Rgb, (3, h0, w0));
-        let mut d: Placed = (Ref::Depth, depth_chw);
-        for wire in net.stage_wiring() {
-            let i = wire.index;
-            let rgb_stage = &net.rgb_stages[i];
-            let depth_stage = if wire.shared {
-                rgb_stage
-            } else {
-                &net.depth_stages[i]
-            };
-            match wire.d_contrib {
-                DepthContribution::Direct => {
-                    // The fusion sum folds into the RGB pool's
-                    // output pass (r_feat + d_feat, reference
-                    // operand order preserved).
-                    let d_feat = b.encoder(&format!("enc{i}.depth"), depth_stage, d.0, d.1, None);
-                    let fused =
-                        b.encoder(&format!("enc{i}.rgb"), rgb_stage, r.0, r.1, Some(d_feat.0));
-                    r = fused;
-                    d = d_feat;
-                }
-                DepthContribution::FilteredD2r => {
-                    let r_feat = b.encoder(&format!("enc{i}.rgb"), rgb_stage, r.0, r.1, None);
-                    let d_feat = b.encoder(&format!("enc{i}.depth"), depth_stage, d.0, d.1, None);
-                    // r_feat rides on the 1×1 filter's output pass
-                    // (filter + r_feat; the reference computes
-                    // r_feat + filter — IEEE addition commutes).
-                    let fused = b.conv(
-                        format!("fuse{i}.d2r"),
-                        d_feat.0,
-                        d_feat.1,
-                        &net.filters_d2r[i],
-                        None,
-                        false,
-                        Some(r_feat.0),
-                    );
-                    let d_next = if wire.reverse_filter {
-                        b.conv(
-                            format!("fuse{i}.r2d"),
-                            r_feat.0,
-                            r_feat.1,
-                            &net.filters_r2d[i],
-                            None,
-                            false,
-                            Some(d_feat.0),
-                        )
-                    } else {
-                        d_feat
-                    };
-                    r = fused;
-                    d = d_next;
-                }
-                DepthContribution::AwnWeighted => {
-                    let r_feat = b.encoder(&format!("enc{i}.rgb"), rgb_stage, r.0, r.1, None);
-                    let d_feat = b.encoder(&format!("enc{i}.depth"), depth_stage, d.0, d.1, None);
-                    let awn = net.awn.as_ref().expect("WS always builds an AWN");
-                    let wv =
-                        b.awn_weight(format!("fuse{i}.awn"), awn, r_feat.0, d_feat.0, r_feat.1);
-                    let elems = r_feat.1 .0 * r_feat.1 .1 * r_feat.1 .2;
-                    let fused =
-                        b.weighted_add(format!("fuse{i}.sum"), r_feat.0, d_feat.0, wv, elems);
-                    r = (fused, r_feat.1);
-                    d = d_feat;
-                }
-            }
-            fused_maps.push(r);
-        }
-    }
-
-    // Decoder with additive skips, then the 1×1 head and the
-    // probability sigmoid — identical for both modes.
-    let stages = fused_maps.len();
-    let (mut x, mut chw) = *fused_maps.last().expect("at least one stage");
-    for (k, dec) in net.decoder.iter().enumerate() {
-        let (up, up_chw) = b.upsample(format!("dec{k}.up"), x, chw);
-        // The skip sum rides on the decoder conv's output pass, after
-        // its ReLU (matching the graph's relu-then-add order).
-        let skip = (k < stages - 1).then(|| fused_maps[stages - 2 - k].0);
-        let (cv, cchw) = b.conv(
-            format!("dec{k}.conv"),
-            up,
-            up_chw,
-            &dec.conv,
-            Some(&dec.bn),
-            true,
-            skip,
-        );
-        x = cv;
-        chw = cchw;
-    }
-    let (hx, hchw) = b.conv("head".into(), x, chw, &net.head, None, false, None);
-    let out_val = b.sigmoid("sigmoid".into(), hx, hchw.0 * hchw.1 * hchw.2);
-    (b, out_val)
+fn elems((c, h, w): Chw) -> usize {
+    c * h * w
 }
 
-/// Rewrites every [`PlanOp::Conv`] into a [`PlanOp::QConv`]: weights are
-/// quantized per output channel on the spot; the input activation scale
-/// is looked up in `profile` under the label of the value's producer
+/// The plan lowering, shared by every mode: one description node becomes
+/// one [`PlanOp`]. With a `profile` the convolutions are lowered to int8 —
+/// weights quantized per output channel on the spot, the input activation
+/// scale looked up under the label of the value the conv reads
 /// (`input.rgb` / `input.depth` for the external inputs).
-fn quantize_ops(ops: &mut [PlanOp], profile: &CalibrationProfile) -> Result<(), QuantError> {
-    // Pre-finalize, `out` fields are unique value ids — map them to the
-    // producing op's label so a conv can name its input activation.
-    let producer: HashMap<usize, String> = ops
-        .iter()
-        .map(|op| (op.out_val(), op.label().to_string()))
-        .collect();
-    for op in ops.iter_mut() {
-        let PlanOp::Conv(c) = op else { continue };
-        let in_label = match c.input {
-            Ref::Rgb => INPUT_RGB.to_string(),
-            Ref::Depth => INPUT_DEPTH.to_string(),
-            Ref::Slot(v) => producer[&v].clone(),
+fn lower(
+    net: &FusionNet,
+    mode: PlanMode,
+    profile: Option<&CalibrationProfile>,
+) -> Result<CompiledPlan, QuantError> {
+    let arch = net.arch(mode.needs_depth());
+    let at = |v: Val| match v {
+        Val::Rgb => Ref::Rgb,
+        Val::Depth => Ref::Depth,
+        Val::Node(i) => Ref::Slot(i),
+    };
+    let mut ops = Vec::with_capacity(arch.nodes.len());
+    for (out, node) in arch.nodes.iter().enumerate() {
+        let kind = match node.op {
+            Op::Conv {
+                input,
+                layer,
+                k,
+                bias,
+                bn: norm,
+                relu,
+                plus,
+            } => {
+                let (conv, bn) = net.layer(layer);
+                let (in_c, in_h, in_w) = arch.chw(input);
+                let (out_c, oh, ow) = node.out;
+                let spec = conv.spec();
+                // The layer `FusionNet::new` built is the one described.
+                debug_assert_eq!(conv.weight().value.shape(), [out_c, in_c, k, k]);
+                debug_assert_eq!((conv.bias().is_some(), bn.is_some()), (bias, norm));
+                debug_assert_eq!((oh, ow), (spec.out_size(in_h, k), spec.out_size(in_w, k)));
+                let wmat = conv
+                    .weight()
+                    .value
+                    .reshape(&[out_c, in_c * k * k])
+                    .expect("conv weight reshapes to [O, patch]");
+                let weights = match profile {
+                    None => ConvWeights::F32(wmat),
+                    Some(profile) => {
+                        let in_label = arch.label(input);
+                        let in_scale = profile
+                            .act_scale(in_label)
+                            .ok_or_else(|| QuantError::MissingScale(in_label.to_string()))?;
+                        let (wq, wscale) = quantize_per_row(wmat.data(), out_c);
+                        ConvWeights::I8 {
+                            wq,
+                            wscale,
+                            in_scale,
+                        }
+                    }
+                };
+                OpKind::Conv(ConvOp {
+                    input: at(input),
+                    weights,
+                    bias: conv.bias().map(|p| p.value.data().to_vec()),
+                    bn: bn.map(fold_bn),
+                    relu,
+                    accumulate: plus.map(|p| at(p.operand())),
+                    geom: ConvGeom {
+                        in_c,
+                        in_h,
+                        in_w,
+                        out_c,
+                        k,
+                        spec,
+                        oh,
+                        ow,
+                    },
+                })
+            }
+            Op::Pool { input, plus } => OpKind::MaxPool {
+                input: at(input),
+                chw: arch.chw(input),
+                accumulate: plus.map(|p| at(p.operand())),
+            },
+            Op::Upsample { input } => OpKind::Upsample {
+                input: at(input),
+                chw: arch.chw(input),
+            },
+            Op::Awn { r, d } => {
+                let awn = net.awn.as_ref().expect("WS always builds an AWN");
+                OpKind::AwnWeight {
+                    r: at(r),
+                    d: at(d),
+                    chw: arch.chw(r),
+                    fc1_w: awn.fc1.weight().value.clone(),
+                    fc1_b: awn.fc1.bias().expect("AWN fc1 has a bias").value.clone(),
+                    fc2_w: awn.fc2.weight().value.clone(),
+                    fc2_b: awn.fc2.bias().expect("AWN fc2 has a bias").value.clone(),
+                }
+            }
+            Op::MulAdd { r, d, weight } => OpKind::MulAdd {
+                r: at(r),
+                d: at(d),
+                weight: at(weight),
+                elems: elems(node.out),
+            },
+            Op::Sigmoid { input } => OpKind::Sigmoid {
+                input: at(input),
+                elems: elems(node.out),
+            },
         };
-        let in_scale = profile
-            .act_scale(&in_label)
-            .ok_or(QuantError::MissingScale(in_label))?;
-        let (wq, wscale) = quantize_per_row(c.wmat.data(), c.geom.out_c);
-        *op = PlanOp::QConv(QConvOp {
-            label: c.label.clone(),
-            input: c.input,
-            wq,
-            wscale,
-            in_scale,
-            bias: c.bias.clone(),
-            bn: c.bn.clone(),
-            relu: c.relu,
-            accumulate: c.accumulate,
-            out: c.out,
-            geom: c.geom,
+        ops.push(PlanOp {
+            label: node.label.clone(),
+            out,
+            kind,
         });
     }
-    Ok(())
+    Ok(finalize(mode, ops, arch))
 }
 
 impl CompiledPlan {
@@ -858,17 +531,7 @@ impl CompiledPlan {
             !mode.is_int8(),
             "int8 plans need a calibration profile — use CompiledPlan::compile_int8"
         );
-        let cfg = net.config();
-        let (h0, w0) = (cfg.height, cfg.width);
-        let (b, out_val) = build_ops(net, mode.needs_depth());
-        finalize(
-            mode,
-            b,
-            (3, h0, w0),
-            (cfg.depth_channels, h0, w0),
-            out_val,
-            (h0, w0),
-        )
+        lower(net, mode, None).expect("an f32 lowering looks up no scale")
     }
 
     /// Freezes `net` into an int8 plan: identical topology to the f32
@@ -888,18 +551,7 @@ impl CompiledPlan {
         if !mode.is_int8() {
             return Err(QuantError::NotAnInt8Mode(mode.to_string()));
         }
-        let cfg = net.config();
-        let (h0, w0) = (cfg.height, cfg.width);
-        let (mut b, out_val) = build_ops(net, mode.needs_depth());
-        quantize_ops(&mut b.ops, profile)?;
-        Ok(finalize(
-            mode,
-            b,
-            (3, h0, w0),
-            (cfg.depth_channels, h0, w0),
-            out_val,
-            (h0, w0),
-        ))
+        lower(net, mode, Some(profile))
     }
 
     /// The mode this plan was compiled for.
@@ -941,9 +593,11 @@ impl CompiledPlan {
     pub fn weight_bytes(&self) -> usize {
         self.ops
             .iter()
-            .map(|op| match op {
-                PlanOp::Conv(c) => c.wmat.data().len() * 4,
-                PlanOp::QConv(c) => c.wq.len() + c.wscale.len() * 4,
+            .map(|op| match &op.kind {
+                OpKind::Conv(c) => match &c.weights {
+                    ConvWeights::F32(w) => w.data().len() * 4,
+                    ConvWeights::I8 { wq, wscale, .. } => wq.len() + wscale.len() * 4,
+                },
                 _ => 0,
             })
             .sum()
@@ -1028,24 +682,26 @@ impl fmt::Display for CompiledPlan {
 /// that reads it last, and the next same-size value reuses it. Outputs
 /// are allocated *before* dead inputs are freed, so an op's output slot
 /// can never alias any of its own operands.
-fn finalize(
-    mode: PlanMode,
-    b: Builder,
-    rgb_chw: (usize, usize, usize),
-    depth_chw: (usize, usize, usize),
-    out_val: usize,
-    out_hw: (usize, usize),
-) -> CompiledPlan {
-    let Builder { mut ops, val_elems } = b;
+fn finalize(mode: PlanMode, mut ops: Vec<PlanOp>, arch: &Arch) -> CompiledPlan {
+    let val_elems: Vec<usize> = arch.nodes.iter().map(|node| elems(node.out)).collect();
+    let reads: Vec<Vec<Ref>> = ops
+        .iter_mut()
+        .map(|op| {
+            let mut reads = Vec::new();
+            op.for_each_ref(&mut |r| reads.push(*r));
+            reads
+        })
+        .collect();
     let mut last_use = vec![usize::MAX; val_elems.len()];
-    for (j, op) in ops.iter().enumerate() {
-        for r in op.reads() {
+    for (j, reads) in reads.iter().enumerate() {
+        for r in reads {
             if let Ref::Slot(v) = r {
-                last_use[v] = j;
+                last_use[*v] = j;
             }
         }
     }
-    // The plan output must survive the whole run.
+    // The plan output (the last node) must survive the whole run.
+    let out_val = ops.len() - 1;
     last_use[out_val] = usize::MAX;
 
     let mut val_slot = vec![usize::MAX; val_elems.len()];
@@ -1053,13 +709,11 @@ fn finalize(
     let mut free: HashMap<usize, Vec<usize>> = HashMap::new();
     let mut births = Vec::with_capacity(ops.len());
     let mut deaths: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
-    let mut ws_per_image = 0usize;
-    let mut q_ws_per_image = 0usize;
-    let mut acc_ws_per_image = 0usize;
+    let mut reservation: Workspace = (0, 0, 0);
     let mut live = 0usize;
     let mut peak = 0usize;
-    for j in 0..ops.len() {
-        let v = ops[j].out_val();
+    for (j, op) in ops.iter().enumerate() {
+        let v = op.out;
         let elems = val_elems[v];
         let slot = match free.get_mut(&elems).and_then(Vec::pop) {
             Some(s) => s,
@@ -1071,25 +725,18 @@ fn finalize(
         val_slot[v] = slot;
         births.push(elems);
         live += elems;
-        let ws = match &ops[j] {
-            PlanOp::Conv(c) => c.geom.patch() * c.geom.cols(),
-            PlanOp::QConv(c) => {
-                q_ws_per_image = q_ws_per_image.max(c.q_ws());
-                acc_ws_per_image = acc_ws_per_image.max(c.acc_ws());
-                c.ws_f32_equiv()
-            }
-            _ => 0,
-        };
-        if matches!(&ops[j], PlanOp::Conv(_)) {
-            ws_per_image = ws_per_image.max(ws);
-        }
-        peak = peak.max(live + ws);
+        let ws = op.workspace();
+        reservation = (
+            reservation.0.max(ws.0),
+            reservation.1.max(ws.1),
+            reservation.2.max(ws.2),
+        );
+        peak = peak.max(live + f32_equiv(ws));
         // Free after allocating the output: no intra-op aliasing.
-        let mut dying: Vec<usize> = ops[j]
-            .reads()
-            .into_iter()
+        let mut dying: Vec<usize> = reads[j]
+            .iter()
             .filter_map(|r| match r {
-                Ref::Slot(u) if last_use[u] == j => Some(u),
+                Ref::Slot(u) if last_use[*u] == j => Some(*u),
                 _ => None,
             })
             .collect();
@@ -1104,8 +751,7 @@ fn finalize(
 
     // Rewrite value ids into slot ids.
     for op in &mut ops {
-        let slot = val_slot[op.out_val()];
-        op.set_out(slot);
+        op.out = val_slot[op.out];
         op.for_each_ref(&mut |r| {
             if let Ref::Slot(v) = r {
                 *r = Ref::Slot(val_slot[*v]);
@@ -1118,20 +764,146 @@ fn finalize(
         mode,
         ops,
         slot_sizes,
-        ws_per_image,
-        q_ws_per_image,
-        acc_ws_per_image,
+        ws_per_image: reservation.0,
+        q_ws_per_image: reservation.1,
+        acc_ws_per_image: reservation.2,
         births,
         deaths,
-        rgb_chw,
-        depth_chw,
+        rgb_chw: arch.rgb,
+        depth_chw: arch.depth,
         out_slot: val_slot[out_val],
-        out_hw,
+        out_hw: (arch.rgb.1, arch.rgb.2),
         peak_live_per_image: peak,
         slots: vec![Vec::new(); slot_count],
         workspace: Vec::new(),
         qworkspace: Vec::new(),
         accworkspace: Vec::new(),
         last_high_water: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arch::Plus;
+    use crate::config::{FusionScheme, NetworkConfig};
+    use crate::plan::{INPUT_DEPTH, INPUT_RGB};
+    use sf_tensor::testkit::check_cases;
+
+    /// The values node `j` reads, in `for_each_ref` order.
+    fn operands(op: Op) -> Vec<Val> {
+        match op {
+            Op::Conv { input, plus, .. } | Op::Pool { input, plus } => std::iter::once(input)
+                .chain(plus.map(Plus::operand))
+                .collect(),
+            Op::Upsample { input } | Op::Sigmoid { input } => vec![input],
+            Op::Awn { r, d } => vec![r, d],
+            Op::MulAdd { r, d, weight } => vec![r, d, weight],
+        }
+    }
+
+    /// Checks a finalized plan's slot assignment against the value-level
+    /// liveness its description implies — the ground truth `finalize`
+    /// itself is not consulted for.
+    fn check_schedule(plan: &mut CompiledPlan, arch: &Arch) {
+        let n = arch.nodes.len();
+        assert_eq!(plan.ops.len(), n);
+        let slot_of: Vec<usize> = plan.ops.iter().map(|op| op.out).collect();
+        // Value i is written by op i and live until its last reader (the
+        // output: until the end).
+        let mut last_use: Vec<usize> = (0..n).collect();
+        last_use[n - 1] = usize::MAX;
+        for (j, node) in arch.nodes.iter().enumerate() {
+            let mut read_slots = Vec::new();
+            plan.ops[j].for_each_ref(&mut |r| read_slots.push(*r));
+            let want: Vec<Ref> = operands(node.op)
+                .into_iter()
+                .map(|v| match v {
+                    Val::Rgb => Ref::Rgb,
+                    Val::Depth => Ref::Depth,
+                    Val::Node(i) => {
+                        last_use[i] = last_use[i].max(j);
+                        Ref::Slot(slot_of[i])
+                    }
+                })
+                .collect();
+            assert_eq!(read_slots, want, "op {j} reads its operands' slots");
+            assert!(
+                !read_slots.contains(&Ref::Slot(slot_of[j])),
+                "op {j} writes a slot it reads"
+            );
+        }
+        for a in 0..n {
+            for b in a + 1..n {
+                if b <= last_use[a] {
+                    assert_ne!(
+                        slot_of[a], slot_of[b],
+                        "values {a} and {b} are live together"
+                    );
+                }
+            }
+        }
+        // The recorded birth/death events are those of the same liveness.
+        let size = |i: usize| elems(arch.nodes[i].out);
+        for (j, &slot) in slot_of.iter().enumerate() {
+            assert_eq!(plan.births[j], size(j));
+            assert_eq!(plan.slot_sizes[slot], size(j));
+            let mut dying: Vec<usize> = (0..n).filter(|&i| last_use[i] == j).map(size).collect();
+            dying.sort_unstable();
+            let mut recorded = plan.deaths[j].clone();
+            recorded.sort_unstable();
+            assert_eq!(recorded, dying, "deaths at op {j}");
+            let (f, q, acc) = plan.ops[j].workspace();
+            assert!(
+                f <= plan.ws_per_image && q <= plan.q_ws_per_image && acc <= plan.acc_ws_per_image,
+                "op {j} needs more workspace than the plan reserves"
+            );
+        }
+    }
+
+    #[test]
+    fn static_schedule_never_aliases_live_values() {
+        check_cases(40, |c| {
+            let stages = c.usize_in(2, 5);
+            let config = NetworkConfig {
+                width: (1 << stages) * c.usize_in(1, 4),
+                height: (1 << stages) * c.usize_in(1, 3),
+                stage_channels: (0..stages).map(|_| c.usize_in(1, 7)).collect(),
+                shared_stages: c.usize_in(1, stages),
+                depth_channels: c.usize_in(1, 4),
+                seed: c.seed(),
+            };
+            let scheme = FusionScheme::ALL[c.usize_in(0, FusionScheme::ALL.len())];
+            let net = FusionNet::new(scheme, &config).expect("a valid random config");
+            // Any scale does: the schedule does not depend on its value.
+            let mut profile = CalibrationProfile::new();
+            for label in [INPUT_RGB, INPUT_DEPTH] {
+                profile.set_scale(label, 0.05);
+            }
+            for node in &net.arch(true).nodes {
+                profile.set_scale(&node.label, 0.05);
+            }
+            let n = c.usize_in(1, 4);
+            let rgb = c
+                .rng()
+                .uniform(&[n, 3, config.height, config.width], 0.0, 1.0);
+            let depth_shape = [n, config.depth_channels, config.height, config.width];
+            let depth = c.rng().uniform(&depth_shape, 0.0, 1.0);
+            for mode in [
+                PlanMode::Fused,
+                PlanMode::CameraOnly,
+                PlanMode::Int8,
+                PlanMode::Int8CameraOnly,
+            ] {
+                let mut plan = lower(&net, mode, mode.is_int8().then_some(&profile))
+                    .expect("every label has a scale");
+                check_schedule(&mut plan, net.arch(mode.needs_depth()));
+                // Running it asserts every workspace region handed to a
+                // worker lies inside its image's reservation.
+                plan.run_batch(&rgb, mode.needs_depth().then_some(&depth))
+                    .unwrap_or_else(|e| panic!("{scheme} {mode} {config:?}: {e}"));
+                assert!(plan.last_high_water_elems() <= plan.reservation_elems(n));
+            }
+        });
     }
 }

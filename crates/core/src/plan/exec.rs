@@ -7,13 +7,15 @@
 //! epilogues, folded sums) the deviation is restricted to *where* a value
 //! is computed, never to the sequence of operations that produce it.
 
+use std::marker::PhantomData;
+
 use sf_tensor::int8::{im2col_i8_into, matmul_i8_into, quantize_i8};
 use sf_tensor::{
     conv_epilogue, im2col_into, matmul_into, matmul_transpose_b, ConvEpilogue, Dequant, Tensor,
     TensorError,
 };
 
-use super::compile::{BnFold, CompiledPlan, ConvOp, PlanOp, QConvOp, Ref};
+use super::compile::{f32_equiv, CompiledPlan, ConvOp, ConvWeights, OpKind, PlanOp, Ref};
 use super::quant::{INPUT_DEPTH, INPUT_RGB};
 
 /// Bit-for-bit the same function as the autograd graph's private
@@ -28,17 +30,65 @@ fn stable_sigmoid(z: f32) -> f32 {
     }
 }
 
-/// Shares a raw workspace pointer across the worker closure. Each image
-/// index touches a disjoint region, so concurrent access never overlaps
-/// (same idiom as the pool kernels in `sf-tensor`).
-struct SyncPtr<T>(*mut T);
+/// One of the plan's statically reserved workspaces, carved into one
+/// region of `per_image` elements per image so pool workers can fill
+/// their images' regions concurrently (the same idiom as the pool kernels
+/// in `sf-tensor`).
+///
+/// The disjointness invariant: image `img` owns
+/// `[img · per_image, (img + 1) · per_image)` and nothing else; a kernel
+/// working on image `img` asks for the first `need ≤ per_image` elements
+/// of that range. `per_image` is the static schedule's maximum `need`
+/// over every op in the plan, and the buffer holds `n · per_image`
+/// elements for a batch of `n`.
+struct Regions<'a, T> {
+    base: *mut T,
+    len: usize,
+    per_image: usize,
+    _buf: PhantomData<&'a mut [T]>,
+}
 
-unsafe impl<T> Send for SyncPtr<T> {}
-unsafe impl<T> Sync for SyncPtr<T> {}
+// SAFETY: a `Regions` is a pointer into a buffer it borrows exclusively
+// for `'a`; the only access path is `image`, whose contract keeps
+// concurrent callers on disjoint ranges, so moving it to another thread
+// is as sound as moving the `&mut [T]` it was made from.
+unsafe impl<T: Send> Send for Regions<'_, T> {}
+// SAFETY: as above — sharing it only lets several threads call `image`,
+// which they may do for distinct images only.
+unsafe impl<T: Send> Sync for Regions<'_, T> {}
 
-impl<T> SyncPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
+impl<'a, T> Regions<'a, T> {
+    fn new(buf: &'a mut [T], per_image: usize) -> Self {
+        Regions {
+            base: buf.as_mut_ptr(),
+            len: buf.len(),
+            per_image,
+            _buf: PhantomData,
+        }
+    }
+
+    /// The first `need` elements of image `img`'s region. Panics if that
+    /// range leaves the region or the buffer — the static schedule rules
+    /// it out, but memory safety rests on it, so release builds check too
+    /// (two comparisons per image per convolution).
+    ///
+    /// # Safety
+    ///
+    /// No two slices obtained for the same `img` may be alive at once
+    /// (`parallel_chunks_mut` hands each image index to exactly one
+    /// worker).
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn image(&self, img: usize, need: usize) -> &mut [T] {
+        assert!(
+            need <= self.per_image && img * self.per_image + need <= self.len,
+            "image {img} needs {need} of a {}-element region in a {}-element workspace",
+            self.per_image,
+            self.len
+        );
+        // SAFETY: in bounds by the assertion above, and exclusive because
+        // regions of distinct images are disjoint and the caller holds at
+        // most one slice per image.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(img * self.per_image), need) }
     }
 }
 
@@ -49,27 +99,9 @@ type Observer<'a> = &'a mut dyn FnMut(&str, &[f32]);
 /// The plan's statically reserved scratch buffers, threaded to each op:
 /// per-image f32 im2col regions plus the i8/i32 regions int8 convs use.
 struct Workspaces<'a> {
-    f32_buf: &'a mut [f32],
-    f32_per_image: usize,
-    q_buf: &'a mut [i8],
-    q_per_image: usize,
-    acc_buf: &'a mut [i32],
-    acc_per_image: usize,
-}
-
-/// Resolves a value reference against the external inputs and the slot
-/// arena.
-fn resolve<'a>(
-    r: Ref,
-    rgb: &'a [f32],
-    depth: Option<&'a [f32]>,
-    slots: &'a [Vec<f32>],
-) -> &'a [f32] {
-    match r {
-        Ref::Rgb => rgb,
-        Ref::Depth => depth.expect("fused plan resolved a depth ref without a depth input"),
-        Ref::Slot(s) => &slots[s],
-    }
+    f32: Regions<'a, f32>,
+    q: Regions<'a, i8>,
+    acc: Regions<'a, i32>,
 }
 
 impl CompiledPlan {
@@ -172,44 +204,27 @@ impl CompiledPlan {
         }
 
         // Disjoint field borrows: the op list stays in place (a panic
-        // mid-batch must leave the plan reusable) while the slot arena
-        // and workspace are threaded through the kernels mutably.
-        let ws_per_image = self.ws_per_image;
-        let q_ws_per_image = self.q_ws_per_image;
-        let acc_ws_per_image = self.acc_ws_per_image;
+        // mid-batch must leave the plan reusable) while the slot being
+        // written is lifted out of the arena, so the kernels read every
+        // other slot through a shared borrow.
+        let ws = Workspaces {
+            f32: Regions::new(&mut self.workspace, self.ws_per_image),
+            q: Regions::new(&mut self.qworkspace, self.q_ws_per_image),
+            acc: Regions::new(&mut self.accworkspace, self.acc_ws_per_image),
+        };
         let mut live = 0usize;
         let mut high = 0usize;
-        {
-            let ops = &self.ops;
-            let slots = &mut self.slots;
-            let workspace = &mut self.workspace;
-            let qworkspace = &mut self.qworkspace;
-            let accworkspace = &mut self.accworkspace;
-            for (j, op) in ops.iter().enumerate() {
-                live += n * self.births[j];
-                match op {
-                    PlanOp::Conv(c) => {
-                        high = high.max(live + n * c.geom.patch() * c.geom.cols());
-                    }
-                    PlanOp::QConv(c) => {
-                        high = high.max(live + n * c.ws_f32_equiv());
-                    }
-                    _ => high = high.max(live),
-                }
-                let ws = Workspaces {
-                    f32_buf: workspace,
-                    f32_per_image: ws_per_image,
-                    q_buf: qworkspace,
-                    q_per_image: q_ws_per_image,
-                    acc_buf: accworkspace,
-                    acc_per_image: acc_ws_per_image,
-                };
-                exec_op(op, n, rgb_data, depth_data, slots, ws);
-                if let Some(obs) = observe.as_deref_mut() {
-                    obs(op.label(), &slots[op.out_val()]);
-                }
-                live -= n * self.deaths[j].iter().sum::<usize>();
+        for (j, op) in self.ops.iter().enumerate() {
+            live += n * self.births[j];
+            high = high.max(live + n * f32_equiv(op.workspace()));
+            let mut out = std::mem::take(&mut self.slots[op.out]);
+            out.resize(n * self.births[j], 0.0);
+            exec_op(op, n, rgb_data, depth_data, &self.slots, &mut out, &ws);
+            if let Some(obs) = observe.as_deref_mut() {
+                obs(&op.label, &out);
             }
+            self.slots[op.out] = out;
+            live -= n * self.deaths[j].iter().sum::<usize>();
         }
         self.last_high_water = high;
 
@@ -219,37 +234,40 @@ impl CompiledPlan {
     }
 }
 
+/// Runs one op: reads its operands from the inputs and `slots`, writes
+/// `out` (already sized to `n ×` the op's per-image output).
 fn exec_op(
     op: &PlanOp,
     n: usize,
     rgb: &[f32],
     depth: Option<&[f32]>,
-    slots: &mut [Vec<f32>],
-    ws: Workspaces<'_>,
+    slots: &[Vec<f32>],
+    out: &mut [f32],
+    ws: &Workspaces<'_>,
 ) {
-    match op {
-        PlanOp::Conv(c) => exec_conv(c, n, rgb, depth, slots, ws.f32_buf, ws.f32_per_image),
-        PlanOp::QConv(c) => exec_qconv(c, n, rgb, depth, slots, ws),
-        PlanOp::MaxPool {
+    // Resolves a value reference against the external inputs and the
+    // slot arena.
+    let at = |r: Ref| match r {
+        Ref::Rgb => rgb,
+        Ref::Depth => depth.expect("fused plan resolved a depth ref without a depth input"),
+        Ref::Slot(s) => &slots[s][..],
+    };
+    match &op.kind {
+        OpKind::Conv(c) => exec_conv(c, at(c.input), c.accumulate.map(at), out, ws),
+        OpKind::MaxPool {
             input,
-            out,
-            c,
-            h,
-            w,
+            chw: (_, h, w),
             accumulate,
-            ..
         } => {
-            let (c, h, w) = (*c, *h, *w);
+            let (h, w) = (*h, *w);
             let (oh, ow) = (h / 2, w / 2);
             let out_plane = oh * ow;
-            let mut buf = std::mem::take(&mut slots[*out]);
-            buf.resize(n * c * out_plane, 0.0);
-            let src = resolve(*input, rgb, depth, slots);
-            let acc = accumulate.map(|r| resolve(r, rgb, depth, slots));
+            let src = at(*input);
+            let acc = accumulate.map(at);
             // Identical traversal to the reference `max_pool2d`
             // kernel (2×2, stride 2), with the folded fusion sum
             // applied as `best + acc` — the reference's `r + d`.
-            sf_runtime::parallel_chunks_mut(&mut buf, out_plane, |p, dst| {
+            sf_runtime::parallel_chunks_mut(out, out_plane, |p, dst| {
                 let plane = p * h * w;
                 let ac = acc.map(|a| &a[p * out_plane..(p + 1) * out_plane]);
                 let mut oi = 0usize;
@@ -274,21 +292,14 @@ fn exec_op(
                     }
                 }
             });
-            slots[*out] = buf;
         }
-        PlanOp::Upsample {
+        OpKind::Upsample {
             input,
-            out,
-            c,
-            h,
-            w,
-            ..
+            chw: (c, h, w),
         } => {
             let (c, h, w) = (*c, *h, *w);
             let (uh, uw) = (h * 2, w * 2);
-            let mut buf = std::mem::take(&mut slots[*out]);
-            buf.resize(n * c * uh * uw, 0.0);
-            let src = resolve(*input, rgb, depth, slots);
+            let src = at(*input);
             // Pure copies — the reference builds each output row then
             // duplicates it; any write order is bit-identical.
             for plane in 0..n * c {
@@ -297,33 +308,26 @@ fn exec_op(
                 for iy in 0..h {
                     let srow = &src[sp + iy * w..sp + (iy + 1) * w];
                     let dbase = dp + iy * 2 * uw;
-                    let drow = &mut buf[dbase..dbase + uw];
+                    let drow = &mut out[dbase..dbase + uw];
                     for (ix, &v) in srow.iter().enumerate() {
                         drow[ix * 2..(ix + 1) * 2].fill(v);
                     }
-                    let (head, tail) = buf.split_at_mut(dbase + uw);
+                    let (head, tail) = out.split_at_mut(dbase + uw);
                     tail[..uw].copy_from_slice(&head[dbase..dbase + uw]);
                 }
             }
-            slots[*out] = buf;
         }
-        PlanOp::AwnWeight {
+        OpKind::AwnWeight {
             r,
             d,
-            out,
-            c,
-            h,
-            w,
+            chw: (c, h, w),
             fc1_w,
             fc1_b,
             fc2_w,
             fc2_b,
-            ..
         } => {
-            let (c, h, w) = (*c, *h, *w);
-            let plane = h * w;
-            let rd = resolve(*r, rgb, depth, slots);
-            let dd = resolve(*d, rgb, depth, slots);
+            let (c, plane) = (*c, h * w);
+            let (rd, dd) = (at(*r), at(*d));
             // GAP of the branch difference, accumulated in ascending
             // element order exactly like the reference
             // `sub → global_avg_pool` chain.
@@ -351,209 +355,111 @@ fn exec_op(
             let h2 = matmul_transpose_b(&h1, fc2_w)
                 .expect("AWN fc2 matmul")
                 .add(fc2_b);
-            let wv = h2.map(stable_sigmoid);
-            let mut buf = std::mem::take(&mut slots[*out]);
-            buf.clear();
-            buf.extend_from_slice(wv.data());
-            slots[*out] = buf;
+            out.copy_from_slice(h2.map(stable_sigmoid).data());
         }
-        PlanOp::MulAdd {
+        OpKind::MulAdd {
             r,
             d,
             weight,
-            out,
             elems,
-            ..
         } => {
             let elems = *elems;
-            let mut buf = std::mem::take(&mut slots[*out]);
-            buf.resize(n * elems, 0.0);
-            let rd = resolve(*r, rgb, depth, slots);
-            let dd = resolve(*d, rgb, depth, slots);
-            let wv = resolve(*weight, rgb, depth, slots);
+            let (rd, dd, wv) = (at(*r), at(*d), at(*weight));
             // `r + d·w[img]`: multiply then add, the reference's
             // `mul(d, w)` → `add(r, ·)` order.
             for (img, &wi) in wv[..n].iter().enumerate() {
                 let base = img * elems;
                 for k in 0..elems {
-                    buf[base + k] = rd[base + k] + dd[base + k] * wi;
+                    out[base + k] = rd[base + k] + dd[base + k] * wi;
                 }
             }
-            slots[*out] = buf;
         }
-        PlanOp::Sigmoid {
-            input, out, elems, ..
-        } => {
-            let elems = *elems;
-            let mut buf = std::mem::take(&mut slots[*out]);
-            buf.resize(n * elems, 0.0);
-            let src = resolve(*input, rgb, depth, slots);
-            for (v, &s) in buf.iter_mut().zip(&src[..n * elems]) {
+        OpKind::Sigmoid { input, .. } => {
+            for (v, &s) in out.iter_mut().zip(at(*input)) {
                 *v = stable_sigmoid(s);
             }
-            slots[*out] = buf;
         }
     }
 }
 
-/// The part of a convolution's epilogue both lowerings share, borrowed
-/// from the op: `+bias`, folded BatchNorm, ReLU, and image `plane`'s
-/// span of the folded `+accumulate` sum.
-fn epilogue<'a>(
-    bias: &'a Option<Vec<f32>>,
-    bn: &'a Option<BnFold>,
-    relu: bool,
-    accumulate: Option<&'a [f32]>,
-    plane: std::ops::Range<usize>,
-) -> ConvEpilogue<'a> {
-    ConvEpilogue {
-        dequant: None,
-        bias: bias.as_deref(),
-        bn: bn.as_ref().map(|bn| sf_tensor::BnFold {
-            mean: &bn.mean,
-            scale: &bn.scale,
-            gamma: &bn.gamma,
-            beta: &bn.beta,
-        }),
-        relu,
-        accumulate: accumulate.map(|a| &a[plane]),
-    }
-}
-
-/// The convolution kernel with its fused epilogue. Per image:
-/// `im2col → matmul` (the reference's exact unfold and accumulate
-/// order), then one pass applying `+bias`, the folded BatchNorm
-/// (`((v − m)·s)·γ + β`), ReLU, and the folded `+accumulate` sum.
-#[allow(clippy::too_many_arguments)]
+/// The convolution kernel with its fused epilogue, f32 or int8. Per image
+/// the GEMM stage fills either `dst` itself or the i32 accumulators:
+///
+/// - f32: `im2col → matmul`, the reference's exact unfold and accumulate
+///   order;
+/// - int8: quantize the input plane with the calibrated activation scale,
+///   unfold it with the i8 `im2col`, multiply against the
+///   per-channel-quantized weights in i32. i32 accumulation is exactly
+///   associative, so outputs are bit-identical run to run regardless of
+///   thread count or tiling — int8 plans are reproducible by construction.
+///
+/// Then one pass over `dst` applies the epilogue both share: dequantize
+/// through `in_scale · wscale[oc]` (int8 only), `+bias`, the folded
+/// BatchNorm (`((v − m)·s)·γ + β`), ReLU, and the folded `+accumulate`
+/// sum.
 fn exec_conv(
     op: &ConvOp,
-    n: usize,
-    rgb: &[f32],
-    depth: Option<&[f32]>,
-    slots: &mut [Vec<f32>],
-    workspace: &mut [f32],
-    ws_per_image: usize,
+    input: &[f32],
+    accumulate: Option<&[f32]>,
+    out: &mut [f32],
+    ws: &Workspaces<'_>,
 ) {
     let g = op.geom;
     let in_plane = g.in_plane();
     let out_plane = g.out_plane();
     let (patch, cols) = (g.patch(), g.cols());
-    let mut out = std::mem::take(&mut slots[op.out]);
-    // The matmul accumulates, so the output must start zeroed.
-    out.clear();
-    out.resize(n * out_plane, 0.0);
-    let input = resolve(op.input, rgb, depth, slots);
-    let acc = op.accumulate.map(|r| resolve(r, rgb, depth, slots));
-    let wm = op.wmat.data();
-    let ws_ptr = SyncPtr(workspace.as_mut_ptr());
-    sf_runtime::parallel_chunks_mut(&mut out, out_plane, |img, dst| {
-        // SAFETY: image `img` exclusively owns the workspace region
-        // `[img · ws_per_image, img · ws_per_image + patch·cols)`;
-        // regions of distinct images are disjoint and `ws_per_image ≥
-        // patch·cols` for every conv in the plan.
-        let cb = unsafe {
-            std::slice::from_raw_parts_mut(ws_ptr.get().add(img * ws_per_image), patch * cols)
+    sf_runtime::parallel_chunks_mut(out, out_plane, |img, dst| {
+        let plane = &input[img * in_plane..(img + 1) * in_plane];
+        let dequant = match &op.weights {
+            ConvWeights::F32(wmat) => {
+                // SAFETY: this worker is the only one handed image `img`.
+                let cb = unsafe { ws.f32.image(img, patch * cols) };
+                im2col_into(plane, g.in_c, g.in_h, g.in_w, g.k, g.k, g.spec, cb, cols, 0);
+                // The matmul accumulates, so the output must start zeroed.
+                dst.fill(0.0);
+                matmul_into(wmat.data(), cb, dst, g.out_c, patch, cols);
+                None
+            }
+            ConvWeights::I8 {
+                wq,
+                wscale,
+                in_scale,
+            } => {
+                // SAFETY: this worker is the only one handed image `img`.
+                let (qregion, acc) = unsafe {
+                    (
+                        ws.q.image(img, in_plane + patch * cols),
+                        ws.acc.image(img, out_plane),
+                    )
+                };
+                let (qimg, qcols) = qregion.split_at_mut(in_plane);
+                quantize_i8(plane, *in_scale, qimg);
+                im2col_i8_into(
+                    qimg, g.in_c, g.in_h, g.in_w, g.k, g.k, g.spec, qcols, cols, 0,
+                );
+                acc.fill(0);
+                matmul_i8_into(wq, qcols, acc, g.out_c, patch, cols);
+                // The dequantizing epilogue overwrites every element of
+                // `dst`: no need to clear it.
+                Some(Dequant {
+                    acc,
+                    in_scale: *in_scale,
+                    wscale,
+                })
+            }
         };
-        im2col_into(
-            &input[img * in_plane..(img + 1) * in_plane],
-            g.in_c,
-            g.in_h,
-            g.in_w,
-            g.k,
-            g.k,
-            g.spec,
-            cb,
-            cols,
-            0,
-        );
-        matmul_into(wm, cb, dst, g.out_c, patch, cols);
-        let tail = epilogue(
-            &op.bias,
-            &op.bn,
-            op.relu,
-            acc,
-            img * out_plane..(img + 1) * out_plane,
-        );
+        let tail = ConvEpilogue {
+            dequant,
+            bias: op.bias.as_deref(),
+            bn: op.bn.as_ref().map(|bn| sf_tensor::BnFold {
+                mean: &bn.mean,
+                scale: &bn.scale,
+                gamma: &bn.gamma,
+                beta: &bn.beta,
+            }),
+            relu: op.relu,
+            accumulate: accumulate.map(|a| &a[img * out_plane..(img + 1) * out_plane]),
+        };
         conv_epilogue(dst, cols, tail);
     });
-    slots[op.out] = out;
-}
-
-/// The int8 convolution kernel. Per image: quantize the input plane with
-/// the calibrated activation scale, unfold it with the i8 `im2col`,
-/// multiply against the per-channel-quantized weights in i32, dequantize
-/// through `in_scale · wscale[oc]`, then run the identical f32 epilogue
-/// as [`exec_conv`] (`+bias`, folded BatchNorm, ReLU, `+accumulate`).
-///
-/// i32 accumulation is exactly associative, so outputs are bit-identical
-/// run to run regardless of thread count or tiling — int8 plans are
-/// reproducible by construction.
-fn exec_qconv(
-    op: &QConvOp,
-    n: usize,
-    rgb: &[f32],
-    depth: Option<&[f32]>,
-    slots: &mut [Vec<f32>],
-    ws: Workspaces<'_>,
-) {
-    let g = op.geom;
-    let in_plane = g.in_plane();
-    let out_plane = g.out_plane();
-    let (patch, cols) = (g.patch(), g.cols());
-    let mut out = std::mem::take(&mut slots[op.out]);
-    // The dequantizing epilogue overwrites every element: size, don't clear.
-    out.resize(n * out_plane, 0.0);
-    let input = resolve(op.input, rgb, depth, slots);
-    let acc = op.accumulate.map(|r| resolve(r, rgb, depth, slots));
-    let q_per_image = ws.q_per_image;
-    let acc_per_image = ws.acc_per_image;
-    let q_ptr = SyncPtr(ws.q_buf.as_mut_ptr());
-    let acc_ptr = SyncPtr(ws.acc_buf.as_mut_ptr());
-    sf_runtime::parallel_chunks_mut(&mut out, out_plane, |img, dst| {
-        // SAFETY: image `img` exclusively owns the i8 region
-        // `[img · q_per_image, img · q_per_image + in_plane + patch·cols)`
-        // and the i32 region `[img · acc_per_image, … + out_plane)`;
-        // regions of distinct images are disjoint and the per-image
-        // reservations cover every int8 conv in the plan.
-        let qregion = unsafe {
-            std::slice::from_raw_parts_mut(
-                q_ptr.get().add(img * q_per_image),
-                in_plane + patch * cols,
-            )
-        };
-        let accbuf = unsafe {
-            std::slice::from_raw_parts_mut(acc_ptr.get().add(img * acc_per_image), out_plane)
-        };
-        let (qimg, qcols) = qregion.split_at_mut(in_plane);
-        quantize_i8(
-            &input[img * in_plane..(img + 1) * in_plane],
-            op.in_scale,
-            qimg,
-        );
-        im2col_i8_into(
-            qimg, g.in_c, g.in_h, g.in_w, g.k, g.k, g.spec, qcols, cols, 0,
-        );
-        accbuf.fill(0);
-        matmul_i8_into(&op.wq, qcols, accbuf, g.out_c, patch, cols);
-        let tail = epilogue(
-            &op.bias,
-            &op.bn,
-            op.relu,
-            acc,
-            img * out_plane..(img + 1) * out_plane,
-        );
-        conv_epilogue(
-            dst,
-            cols,
-            ConvEpilogue {
-                dequant: Some(Dequant {
-                    acc: accbuf,
-                    in_scale: op.in_scale,
-                    wscale: &op.wscale,
-                }),
-                ..tail
-            },
-        );
-    });
-    slots[op.out] = out;
 }

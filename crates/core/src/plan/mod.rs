@@ -9,9 +9,8 @@
 //!
 //! [`Predictor`] pairs a fused plan with a camera-only plan (the depth
 //! branch dead-branch-eliminated) and applies a [`DegradationPolicy`] per
-//! input, replacing the old `forward` / `forward_camera_only` /
-//! `predict_probability_with_policy` call fan-out with one entry point
-//! that the CLI, the evaluator and the serving layer all share.
+//! input — the one entry point the CLI, the evaluator and the serving
+//! layer all share.
 //!
 //! Plans freeze the network's weights at compile time; recompile after
 //! training steps. Outputs are bit-identical to the graph path in
@@ -44,11 +43,11 @@ pub use quant::{CalibrationProfile, QuantError, INPUT_DEPTH, INPUT_RGB};
 
 use sf_tensor::{Tensor, TensorError};
 
-use crate::eval::BatchPrediction;
 use crate::health::{DegradationPolicy, HealthIssue, HealthThresholds};
 use crate::network::FusionNet;
 
-/// One input's result from [`Predictor::run`].
+/// One input's result from [`Predictor::run`] or one slot's from
+/// [`Predictor::run_slots`].
 #[derive(Debug, Clone)]
 pub struct Prediction {
     /// Per-pixel road probability map, `[H, W]`.
@@ -193,7 +192,7 @@ impl Predictor {
         &mut self,
         rgb: &[&Tensor],
         depth: &[&Tensor],
-    ) -> Result<Vec<BatchPrediction>, TensorError> {
+    ) -> Result<Vec<Prediction>, TensorError> {
         if rgb.len() != depth.len() {
             return Err(TensorError::InvalidGeometry {
                 op: "Predictor::run_slots",
@@ -223,7 +222,7 @@ impl Predictor {
         rgb: &[&Tensor],
         depth: &[&Tensor],
         issues: &[Option<HealthIssue>],
-    ) -> Result<Vec<BatchPrediction>, TensorError> {
+    ) -> Result<Vec<Prediction>, TensorError> {
         if rgb.len() != depth.len() || rgb.len() != issues.len() {
             return Err(TensorError::InvalidGeometry {
                 op: "Predictor::run_slots_prejudged",
@@ -236,7 +235,7 @@ impl Predictor {
             });
         }
         let n = rgb.len();
-        let mut slots: Vec<Option<BatchPrediction>> = Vec::with_capacity(n);
+        let mut slots: Vec<Option<Prediction>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let mut fused: Vec<usize> = Vec::with_capacity(n);
         let mut camera_only: Vec<usize> = Vec::new();
@@ -254,7 +253,7 @@ impl Predictor {
             let probs = self.fused.run_batch(&rgb_batch, Some(&depth_batch))?;
             let (h, w) = (probs.shape()[2], probs.shape()[3]);
             for (k, &i) in fused.iter().enumerate() {
-                slots[i] = Some(BatchPrediction {
+                slots[i] = Some(Prediction {
                     prob: probs.index_axis0(k).reshape(&[h, w])?,
                     quarantined: None,
                 });
@@ -266,7 +265,7 @@ impl Predictor {
             let probs = self.camera_only.run_batch(&rgb_batch, None)?;
             let (h, w) = (probs.shape()[2], probs.shape()[3]);
             for (k, &i) in camera_only.iter().enumerate() {
-                slots[i] = Some(BatchPrediction {
+                slots[i] = Some(Prediction {
                     prob: probs.index_axis0(k).reshape(&[h, w])?,
                     quarantined: issues[i],
                 });

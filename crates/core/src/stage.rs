@@ -1,28 +1,29 @@
-//! Encoder and decoder building blocks of the two-branch network.
+//! The weight-carrying building block of the two-branch network.
 
-use sf_autograd::{Graph, NodeId};
-use sf_nn::{BatchNorm2d, Conv2d, Cost, Mode, Module, Param, Parameterized};
+use sf_nn::{BatchNorm2d, Conv2d, Param, Parameterized};
 use sf_tensor::{Conv2dSpec, TensorRng};
 
-/// One encoder stage: `conv3×3 → BN → ReLU → maxpool 2×2`, halving the
-/// spatial resolution.
+/// The weights of one encoder or decoder stage: a same-padded `conv3×3`
+/// and its BatchNorm. What surrounds them — the ReLU, the encoder's
+/// `maxpool 2×2`, the decoder's `upsample ×2`, the fusion and skip sums —
+/// is topology and lives in the architecture description (`crate::arch`).
 #[derive(Debug, Clone)]
-pub struct EncoderStage {
+pub(crate) struct Stage {
     pub(crate) conv: Conv2d,
     pub(crate) bn: BatchNorm2d,
 }
 
-impl EncoderStage {
+impl Stage {
     /// Creates a stage mapping `in_c → out_c` channels.
     pub fn new(in_c: usize, out_c: usize, rng: &mut TensorRng) -> Self {
-        EncoderStage {
+        Stage {
             conv: Conv2d::new(in_c, out_c, 3, Conv2dSpec::same(3), false, rng),
             bn: BatchNorm2d::new(out_c),
         }
     }
 }
 
-impl Parameterized for EncoderStage {
+impl Parameterized for Stage {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.conv.visit_params(f);
         self.bn.visit_params(f);
@@ -30,114 +31,5 @@ impl Parameterized for EncoderStage {
 
     fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut sf_tensor::Tensor)) {
         self.bn.visit_buffers(f);
-    }
-}
-
-impl Module for EncoderStage {
-    fn forward(&mut self, g: &mut Graph, x: NodeId, mode: Mode) -> NodeId {
-        let c = self.conv.forward(g, x, mode);
-        let n = self.bn.forward(g, c, mode);
-        let r = g.relu(n);
-        g.max_pool2d(r, 2, 2)
-    }
-
-    fn cost(&self, in_chw: (usize, usize, usize)) -> (Cost, (usize, usize, usize)) {
-        let (c1, s1) = self.conv.cost(in_chw);
-        let (c2, s2) = self.bn.cost(s1);
-        (c1 + c2, (s2.0, s2.1 / 2, s2.2 / 2))
-    }
-}
-
-/// One decoder stage: `upsample ×2 → conv3×3 → BN → ReLU`, with an
-/// additive skip connection applied by the caller.
-#[derive(Debug, Clone)]
-pub struct DecoderStage {
-    pub(crate) conv: Conv2d,
-    pub(crate) bn: BatchNorm2d,
-}
-
-impl DecoderStage {
-    /// Creates a stage mapping `in_c → out_c` channels after up-sampling.
-    pub fn new(in_c: usize, out_c: usize, rng: &mut TensorRng) -> Self {
-        DecoderStage {
-            conv: Conv2d::new(in_c, out_c, 3, Conv2dSpec::same(3), false, rng),
-            bn: BatchNorm2d::new(out_c),
-        }
-    }
-}
-
-impl Parameterized for DecoderStage {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.conv.visit_params(f);
-        self.bn.visit_params(f);
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut sf_tensor::Tensor)) {
-        self.bn.visit_buffers(f);
-    }
-}
-
-impl Module for DecoderStage {
-    fn forward(&mut self, g: &mut Graph, x: NodeId, mode: Mode) -> NodeId {
-        let up = g.upsample_nearest2d(x, 2);
-        let c = self.conv.forward(g, up, mode);
-        let n = self.bn.forward(g, c, mode);
-        g.relu(n)
-    }
-
-    fn cost(&self, (c, h, w): (usize, usize, usize)) -> (Cost, (usize, usize, usize)) {
-        let up = (c, h * 2, w * 2);
-        let (c1, s1) = self.conv.cost(up);
-        let (c2, s2) = self.bn.cost(s1);
-        (c1 + c2, s2)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn encoder_halves_resolution() {
-        let mut rng = TensorRng::seed_from(1);
-        let mut stage = EncoderStage::new(3, 8, &mut rng);
-        let mut g = Graph::new();
-        let x = g.leaf(rng.uniform(&[2, 3, 16, 32], -1.0, 1.0));
-        let y = stage.forward(&mut g, x, Mode::Train);
-        assert_eq!(g.value(y).shape(), &[2, 8, 8, 16]);
-        let (cost, out) = stage.cost((3, 16, 32));
-        assert_eq!(out, (8, 8, 16));
-        assert!(cost.macs > 0 && cost.params > 0);
-    }
-
-    #[test]
-    fn decoder_doubles_resolution() {
-        let mut rng = TensorRng::seed_from(2);
-        let mut stage = DecoderStage::new(8, 4, &mut rng);
-        let mut g = Graph::new();
-        let x = g.leaf(rng.uniform(&[1, 8, 4, 8], -1.0, 1.0));
-        let y = stage.forward(&mut g, x, Mode::Train);
-        assert_eq!(g.value(y).shape(), &[1, 4, 8, 16]);
-        let (_, out) = stage.cost((8, 4, 8));
-        assert_eq!(out, (4, 8, 16));
-    }
-
-    #[test]
-    fn stages_learn() {
-        let mut rng = TensorRng::seed_from(3);
-        let mut stage = EncoderStage::new(1, 2, &mut rng);
-        let mut g = Graph::new();
-        let x = g.leaf(rng.uniform(&[1, 1, 8, 8], -1.0, 1.0));
-        let y = stage.forward(&mut g, x, Mode::Train);
-        let loss = g.mean_all(y);
-        g.backward(loss);
-        stage.collect_grads(&g);
-        let mut grads = 0usize;
-        stage.visit_params(&mut |p| {
-            if p.grad.norm_sq() > 0.0 {
-                grads += 1;
-            }
-        });
-        assert!(grads >= 2, "conv weight and bn params should have grads");
     }
 }

@@ -55,13 +55,16 @@ if [ "$bad" -ne 0 ]; then
     echo "error: FMA / target-cpu / .cargo/config found — kernel results would differ between machines" >&2
     exit 1
 fi
-# Every unsafe block in sf-tensor must carry a `// SAFETY:` argument; the
-# crate denies the lint, this just fails early if the attribute is dropped.
-if ! grep -q 'deny(clippy::undocumented_unsafe_blocks)' crates/tensor/src/lib.rs; then
-    echo "error: sf-tensor no longer denies clippy::undocumented_unsafe_blocks" >&2
-    exit 1
-fi
-echo "    ok: no FMA, no target-cpu, no cargo config; sf-tensor unsafe blocks must be documented"
+# Every unsafe block in sf-tensor and sf-core must carry a `// SAFETY:`
+# argument; the crates deny the lint, this just fails early if the
+# attribute is dropped.
+for lib in crates/tensor/src/lib.rs crates/core/src/lib.rs; do
+    if ! grep -q 'deny(clippy::undocumented_unsafe_blocks)' "$lib"; then
+        echo "error: $lib no longer denies clippy::undocumented_unsafe_blocks" >&2
+        exit 1
+    fi
+done
+echo "    ok: no FMA, no target-cpu, no cargo config; sf-tensor and sf-core unsafe blocks must be documented"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -162,6 +165,26 @@ depth="$(ls "$tmp"/frames/*.depth.pgm | head -1)"
 ./target/release/roadseg infer --model "$tmp/model.sfm" \
     --rgb "$rgb" --depth "$depth" --out "$tmp/overlay.ppm" \
     --int8 --parity-min 0.9
+
+echo "==> hostile checkpoint manifests (typed error before any allocation)"
+# A first line naming a zero-width stage, a 576 GB network or 64 stages
+# used to panic or abort inside network construction. Each must now be
+# refused from the manifest alone: non-zero exit, an `error:` line, no
+# panic and no allocation failure.
+many="$(printf '4,%.0s' $(seq 1 63))4"
+for channels in 4,0,8 4,4000000000,8 "$many"; do
+    printf 'roadseg-v1 scheme=baseline width=96 height=32 channels=%s shared=1 depth=1 seed=1\n' \
+        "$channels" > "$tmp/hostile.sfm"
+    if out="$(./target/release/roadseg eval --model "$tmp/hostile.sfm" 2>&1)"; then
+        echo "error: hostile manifest channels=$channels was accepted" >&2
+        exit 1
+    fi
+    if ! grep -q '^error:' <<< "$out" || grep -qE 'panicked|allocation' <<< "$out"; then
+        echo "error: hostile manifest channels=$channels: $out" >&2
+        exit 1
+    fi
+done
+echo "    ok: 3/3 hostile manifests rejected with a typed error"
 
 echo "==> guard: no deprecated-API escape hatches"
 # The one-shot predict and submit_with_deadline shims are gone; an
