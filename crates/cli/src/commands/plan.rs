@@ -3,10 +3,11 @@
 //! `--dump` prints the frozen op list and static scratch schedule for the
 //! configured network, in both plan modes. `--check` recompiles the plan
 //! for every fusion scheme and diffs its outputs against the unfused
-//! graph path on seeded inputs — any nonzero delta (the contract is
-//! bit-identity, not tolerance) fails the command, as does a scratch
-//! high-water mark above the plan's static reservation. CI runs
-//! `plan --check --smoke` on the tiny network.
+//! graph path on seeded inputs at batch sizes 1, 3 and 9 (the caller alone,
+//! an odd batch, more images than lanes) — any nonzero delta (the contract is
+//! bit-identity, not tolerance) fails the command, as do arenas that hold
+//! anything but one static reservation per lane. CI runs `plan --check`
+//! on the tiny and the standard network under `SF_THREADS=1,2,4`.
 
 use std::fmt::Write as _;
 
@@ -17,6 +18,10 @@ use sf_tensor::{Tensor, TensorRng};
 
 use crate::commands::network_config;
 use crate::{Args, CliError};
+
+/// The batch sizes `--check` runs: one image on the caller, an odd batch,
+/// and more images than any lane count CI uses.
+const BATCH_SIZES: [usize; 3] = [1, 3, 9];
 
 /// Runs the subcommand: `--dump`, `--check`, or both (neither flag means
 /// `--dump`).
@@ -50,10 +55,11 @@ fn dump_plans(scheme: FusionScheme, config: &NetworkConfig) -> Result<String, Cl
         let _ = write!(log, "{plan}");
         let _ = writeln!(
             log,
-            "reservation : {} elems/image ({:.1} KiB), peak live {} elems/image",
+            "reservation : {} elems/lane ({:.1} KiB; a lane holds one image in flight, \
+             a pass runs on min(batch, threads) lanes), peak live {} elems/image",
             plan.reservation_per_image(),
             plan.reservation_per_image() as f64 * 4.0 / 1024.0,
-            plan.peak_live_per_image()
+            plan.peak_live_per_image(),
         );
         let _ = writeln!(log);
     }
@@ -75,12 +81,13 @@ fn graph_probs(net: &mut FusionNet, rgb: &Tensor, depth: Option<&Tensor>) -> Ten
     g.value(prob).clone()
 }
 
-/// Diffs plan-vs-graph outputs for every scheme, both modes and two batch
-/// sizes; any nonzero delta or reservation overrun is an error.
+/// Diffs plan-vs-graph outputs for every scheme, both modes and three
+/// batch sizes; any nonzero delta, or arenas off the static reservation,
+/// is an error.
 fn check_parity(config: &NetworkConfig) -> Result<String, CliError> {
     let (h, w, dc) = (config.height, config.width, config.depth_channels);
     let mut log = String::new();
-    let mut compared = 0usize;
+    let (mut compared, mut lanes) = (0usize, 0usize);
     for scheme in FusionScheme::ALL {
         let mut net = FusionNet::new(scheme, config)?;
         let mut rng = TensorRng::seed_from(config.seed ^ 0x9ace);
@@ -94,7 +101,8 @@ fn check_parity(config: &NetworkConfig) -> Result<String, CliError> {
         }
         for mode in [PlanMode::Fused, PlanMode::CameraOnly] {
             let mut plan = CompiledPlan::compile(&net, mode);
-            for n in [1usize, 3] {
+            let mut widest = 0usize;
+            for n in BATCH_SIZES {
                 let rgb = rng.uniform(&[n, 3, h, w], 0.0, 1.0);
                 let depth = rng.uniform(&[n, dc, h, w], 0.1, 1.0);
                 let with_depth = (mode == PlanMode::Fused).then_some(&depth);
@@ -115,25 +123,26 @@ fn check_parity(config: &NetworkConfig) -> Result<String, CliError> {
                         reference.numel()
                     )));
                 }
-                if plan.last_high_water_elems() > plan.reservation_elems(n) {
+                // Lanes are only ever added: the arenas hold exactly the
+                // reservation of the widest batch so far.
+                widest = widest.max(plan.reservation_elems(n));
+                if plan.arena_elems() != widest {
                     return Err(CliError::Invalid(format!(
-                        "plan check FAILED: {scheme} {mode} n={n}: high water \
-                         {} elems exceeds static reservation {}",
-                        plan.last_high_water_elems(),
-                        plan.reservation_elems(n)
+                        "plan check FAILED: {scheme} {mode} n={n}: arenas hold \
+                         {} elems, the static reservation is {widest}",
+                        plan.arena_elems()
                     )));
                 }
                 compared += reference.numel();
+                lanes = lanes.max(widest / plan.reservation_per_image());
             }
         }
     }
     let _ = writeln!(
         log,
         "plan check   : OK — {compared} values bit-identical to the graph path \
-         ({} schemes x 2 modes x 2 batch sizes, {}x{})",
+         ({} schemes x 2 modes x batch sizes {BATCH_SIZES:?}, {w}x{h}, up to {lanes} lanes)",
         FusionScheme::ALL.len(),
-        w,
-        h
     );
     Ok(log)
 }

@@ -24,17 +24,19 @@
 //!
 //! After lowering a linear-scan allocator assigns every intermediate value
 //! to a reusable slot (exact-size free list, values freed after their last
-//! use), yielding an exact peak-memory reservation at plan time — the
-//! executor never consults the per-thread free list the graph path's
-//! tensors allocate through.
+//! use), yielding an exact per-image reservation at plan time — the
+//! executor allocates it once per lane (`exec::Lane`) and never consults
+//! the per-thread free list the graph path's tensors allocate through.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
 use sf_nn::BatchNorm2d;
 use sf_tensor::int8::quantize_per_row;
 use sf_tensor::{Conv2dSpec, Tensor};
 
+use super::exec::Lane;
 use super::quant::{CalibrationProfile, QuantError};
 use crate::arch::{Arch, Chw, Op, Val};
 use crate::network::FusionNet;
@@ -382,21 +384,16 @@ pub struct CompiledPlan {
     /// Per-image i32 accumulator workspace, the maximum output plane
     /// over all int8 convolution ops. Zero on f32 plans.
     pub(crate) acc_ws_per_image: usize,
-    /// Per-op: per-image elements of the value the op writes.
-    pub(crate) births: Vec<usize>,
-    /// Per-op: per-image sizes of values whose last use is this op.
-    pub(crate) deaths: Vec<Vec<usize>>,
     pub(crate) rgb_chw: (usize, usize, usize),
     pub(crate) depth_chw: (usize, usize, usize),
     pub(crate) out_slot: usize,
     pub(crate) out_hw: (usize, usize),
     peak_live_per_image: usize,
-    // Reused run-to-run: the static arena the schedule indexes into.
-    pub(crate) slots: Vec<Vec<f32>>,
-    pub(crate) workspace: Vec<f32>,
-    pub(crate) qworkspace: Vec<i8>,
-    pub(crate) accworkspace: Vec<i32>,
-    pub(crate) last_high_water: usize,
+    /// Reused run-to-run: one arena per lane, grown (never shrunk) to the
+    /// most lanes a batch has needed so far. A lock per lane is how the
+    /// threads of a pass check arenas out in safe code; it is never
+    /// contended.
+    pub(crate) lanes: Vec<Mutex<Lane>>,
 }
 
 fn elems((c, h, w): Chw) -> usize {
@@ -577,8 +574,8 @@ impl CompiledPlan {
     /// Total scratch reservation per image, in f32-equivalent elements:
     /// every slot plus the shared im2col workspace (and, on int8 plans,
     /// the i8/i32 workspaces at 4 i8 per element, 1 i32 per element).
-    /// The executor allocates exactly `n ×` this for a batch of `n` —
-    /// no free-list search at run time.
+    /// The executor allocates exactly this once per lane — no free-list
+    /// search and no resize at run time.
     pub fn reservation_per_image(&self) -> usize {
         self.slot_sizes.iter().sum::<usize>()
             + self.ws_per_image
@@ -608,18 +605,6 @@ impl CompiledPlan {
     /// events at compile time. Always ≤ [`Self::reservation_per_image`].
     pub fn peak_live_per_image(&self) -> usize {
         self.peak_live_per_image
-    }
-
-    /// The scratch reservation for a batch of `n`, in f32 elements.
-    pub fn reservation_elems(&self, n: usize) -> usize {
-        n * self.reservation_per_image()
-    }
-
-    /// The live-memory high-water mark (f32 elements, including the conv
-    /// workspace in flight) actually reached by the most recent
-    /// `run_batch` call. Zero before the first run.
-    pub fn last_high_water_elems(&self) -> usize {
-        self.last_high_water
     }
 }
 
@@ -707,8 +692,6 @@ fn finalize(mode: PlanMode, mut ops: Vec<PlanOp>, arch: &Arch) -> CompiledPlan {
     let mut val_slot = vec![usize::MAX; val_elems.len()];
     let mut slot_sizes: Vec<usize> = Vec::new();
     let mut free: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut births = Vec::with_capacity(ops.len());
-    let mut deaths: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
     let mut reservation: Workspace = (0, 0, 0);
     let mut live = 0usize;
     let mut peak = 0usize;
@@ -723,7 +706,6 @@ fn finalize(mode: PlanMode, mut ops: Vec<PlanOp>, arch: &Arch) -> CompiledPlan {
             }
         };
         val_slot[v] = slot;
-        births.push(elems);
         live += elems;
         let ws = op.workspace();
         reservation = (
@@ -744,7 +726,6 @@ fn finalize(mode: PlanMode, mut ops: Vec<PlanOp>, arch: &Arch) -> CompiledPlan {
         dying.dedup();
         for u in dying {
             free.entry(val_elems[u]).or_default().push(val_slot[u]);
-            deaths[j].push(val_elems[u]);
             live -= val_elems[u];
         }
     }
@@ -759,7 +740,6 @@ fn finalize(mode: PlanMode, mut ops: Vec<PlanOp>, arch: &Arch) -> CompiledPlan {
         });
     }
 
-    let slot_count = slot_sizes.len();
     CompiledPlan {
         mode,
         ops,
@@ -767,28 +747,63 @@ fn finalize(mode: PlanMode, mut ops: Vec<PlanOp>, arch: &Arch) -> CompiledPlan {
         ws_per_image: reservation.0,
         q_ws_per_image: reservation.1,
         acc_ws_per_image: reservation.2,
-        births,
-        deaths,
         rgb_chw: arch.rgb,
         depth_chw: arch.depth,
         out_slot: val_slot[out_val],
         out_hw: (arch.rgb.1, arch.rgb.2),
         peak_live_per_image: peak,
-        slots: vec![Vec::new(); slot_count],
-        workspace: Vec::new(),
-        qworkspace: Vec::new(),
-        accworkspace: Vec::new(),
-        last_high_water: 0,
+        lanes: Vec::new(),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::arch::Plus;
     use crate::config::{FusionScheme, NetworkConfig};
     use crate::plan::{INPUT_DEPTH, INPUT_RGB};
-    use sf_tensor::testkit::check_cases;
+    use sf_tensor::testkit::{check_cases, CaseCtx};
+
+    pub(crate) const ALL_MODES: [PlanMode; 4] = [
+        PlanMode::Fused,
+        PlanMode::CameraOnly,
+        PlanMode::Int8,
+        PlanMode::Int8CameraOnly,
+    ];
+
+    /// A random valid network of a random scheme, with a profile that has
+    /// a scale for every label (any scale does: neither the schedule nor
+    /// the executor's batching depends on its value).
+    pub(crate) fn random_net(c: &mut CaseCtx) -> (FusionNet, CalibrationProfile) {
+        let stages = c.usize_in(2, 5);
+        let config = NetworkConfig {
+            width: (1 << stages) * c.usize_in(1, 4),
+            height: (1 << stages) * c.usize_in(1, 3),
+            stage_channels: (0..stages).map(|_| c.usize_in(1, 7)).collect(),
+            shared_stages: c.usize_in(1, stages),
+            depth_channels: c.usize_in(1, 4),
+            seed: c.seed(),
+        };
+        let scheme = FusionScheme::ALL[c.usize_in(0, FusionScheme::ALL.len())];
+        let net = FusionNet::new(scheme, &config).expect("a valid random config");
+        let mut profile = CalibrationProfile::new();
+        for label in [INPUT_RGB, INPUT_DEPTH] {
+            profile.set_scale(label, 0.05);
+        }
+        for node in &net.arch(true).nodes {
+            profile.set_scale(&node.label, 0.05);
+        }
+        (net, profile)
+    }
+
+    /// `net` lowered for `mode`, int8 modes with `profile`.
+    pub(crate) fn lowered(
+        net: &FusionNet,
+        mode: PlanMode,
+        profile: &CalibrationProfile,
+    ) -> CompiledPlan {
+        lower(net, mode, mode.is_int8().then_some(profile)).expect("every label has a scale")
+    }
 
     /// The values node `j` reads, in `for_each_ref` order.
     fn operands(op: Op) -> Vec<Val> {
@@ -843,66 +858,32 @@ mod tests {
                 }
             }
         }
-        // The recorded birth/death events are those of the same liveness.
+        // The recorded peak is that of the same liveness, every slot is
+        // exactly its tenants' size (the executor never resizes one), and
+        // every op's workspace fits the lane's.
         let size = |i: usize| elems(arch.nodes[i].out);
+        let mut peak = 0usize;
         for (j, &slot) in slot_of.iter().enumerate() {
-            assert_eq!(plan.births[j], size(j));
             assert_eq!(plan.slot_sizes[slot], size(j));
-            let mut dying: Vec<usize> = (0..n).filter(|&i| last_use[i] == j).map(size).collect();
-            dying.sort_unstable();
-            let mut recorded = plan.deaths[j].clone();
-            recorded.sort_unstable();
-            assert_eq!(recorded, dying, "deaths at op {j}");
+            let live: usize = (0..=j).filter(|&i| last_use[i] >= j).map(size).sum();
             let (f, q, acc) = plan.ops[j].workspace();
+            peak = peak.max(live + f32_equiv((f, q, acc)));
             assert!(
                 f <= plan.ws_per_image && q <= plan.q_ws_per_image && acc <= plan.acc_ws_per_image,
                 "op {j} needs more workspace than the plan reserves"
             );
         }
+        assert_eq!(plan.peak_live_per_image(), peak);
+        assert!(peak <= plan.reservation_per_image());
     }
 
     #[test]
     fn static_schedule_never_aliases_live_values() {
         check_cases(40, |c| {
-            let stages = c.usize_in(2, 5);
-            let config = NetworkConfig {
-                width: (1 << stages) * c.usize_in(1, 4),
-                height: (1 << stages) * c.usize_in(1, 3),
-                stage_channels: (0..stages).map(|_| c.usize_in(1, 7)).collect(),
-                shared_stages: c.usize_in(1, stages),
-                depth_channels: c.usize_in(1, 4),
-                seed: c.seed(),
-            };
-            let scheme = FusionScheme::ALL[c.usize_in(0, FusionScheme::ALL.len())];
-            let net = FusionNet::new(scheme, &config).expect("a valid random config");
-            // Any scale does: the schedule does not depend on its value.
-            let mut profile = CalibrationProfile::new();
-            for label in [INPUT_RGB, INPUT_DEPTH] {
-                profile.set_scale(label, 0.05);
-            }
-            for node in &net.arch(true).nodes {
-                profile.set_scale(&node.label, 0.05);
-            }
-            let n = c.usize_in(1, 4);
-            let rgb = c
-                .rng()
-                .uniform(&[n, 3, config.height, config.width], 0.0, 1.0);
-            let depth_shape = [n, config.depth_channels, config.height, config.width];
-            let depth = c.rng().uniform(&depth_shape, 0.0, 1.0);
-            for mode in [
-                PlanMode::Fused,
-                PlanMode::CameraOnly,
-                PlanMode::Int8,
-                PlanMode::Int8CameraOnly,
-            ] {
-                let mut plan = lower(&net, mode, mode.is_int8().then_some(&profile))
-                    .expect("every label has a scale");
+            let (net, profile) = random_net(c);
+            for mode in ALL_MODES {
+                let mut plan = lowered(&net, mode, &profile);
                 check_schedule(&mut plan, net.arch(mode.needs_depth()));
-                // Running it asserts every workspace region handed to a
-                // worker lies inside its image's reservation.
-                plan.run_batch(&rgb, mode.needs_depth().then_some(&depth))
-                    .unwrap_or_else(|e| panic!("{scheme} {mode} {config:?}: {e}"));
-                assert!(plan.last_high_water_elems() <= plan.reservation_elems(n));
             }
         });
     }

@@ -148,31 +148,48 @@ impl Predictor {
     ///
     /// # Errors
     ///
-    /// Returns an error if either input's shape does not match the
-    /// compiled geometry.
+    /// Returns [`TensorError::InvalidGeometry`] if either input's shape is
+    /// not the compiled geometry — under every policy, including the ones
+    /// that would not have read the depth frame.
     pub fn run(&mut self, rgb: &Tensor, depth: &Tensor) -> Result<Prediction, TensorError> {
+        self.check_frame("Predictor::run", rgb, depth)?;
         let issue = self.policy.quarantine_depth(depth, &self.thresholds);
-        let (c, h, w) = match *rgb.shape() {
-            [c, h, w] => (c, h, w),
-            ref other => {
-                return Err(TensorError::InvalidGeometry {
-                    op: "Predictor::run",
-                    reason: format!("rgb must be [C, H, W], got {other:?}"),
-                })
-            }
-        };
+        let (c, h, w) = self.fused.rgb_shape();
         let rgb_b = rgb.reshape(&[1, c, h, w])?;
         let probs = if issue.is_some() {
             self.camera_only.run_batch(&rgb_b, None)?
         } else {
-            let dc = depth.shape()[0];
-            let depth_b = depth.reshape(&[1, dc, h, w])?;
+            let (dc, dh, dw) = self.fused.depth_shape();
+            let depth_b = depth.reshape(&[1, dc, dh, dw])?;
             self.fused.run_batch(&rgb_b, Some(&depth_b))?
         };
         Ok(Prediction {
             prob: probs.reshape(&[h, w])?,
             quarantined: issue,
         })
+    }
+
+    /// Refuses a frame pair whose rank or extents are not the compiled
+    /// `[C, H, W]` geometry, before anything indexes into its shape.
+    fn check_frame(
+        &self,
+        op: &'static str,
+        rgb: &Tensor,
+        depth: &Tensor,
+    ) -> Result<(), TensorError> {
+        let frames = [
+            ("rgb", rgb, self.fused.rgb_shape()),
+            ("depth", depth, self.fused.depth_shape()),
+        ];
+        for (name, frame, (c, h, w)) in frames {
+            if frame.shape() != [c, h, w] {
+                return Err(TensorError::InvalidGeometry {
+                    op,
+                    reason: format!("{name} must be [{c}, {h}, {w}], got {:?}", frame.shape()),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Batched counterpart of [`run`](Predictor::run): screens every
@@ -234,37 +251,28 @@ impl Predictor {
                 ),
             });
         }
-        let n = rgb.len();
-        let mut slots: Vec<Option<Prediction>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let mut fused: Vec<usize> = Vec::with_capacity(n);
-        let mut camera_only: Vec<usize> = Vec::new();
-        for (i, issue) in issues.iter().enumerate() {
-            if issue.is_some() {
-                camera_only.push(i);
+        for (r, d) in rgb.iter().zip(depth) {
+            self.check_frame("Predictor::run_slots", r, d)?;
+        }
+        let mut slots: Vec<Option<Prediction>> = vec![None; rgb.len()];
+        // At most one fused and one camera-only pass, in that order.
+        for quarantined in [false, true] {
+            let group: Vec<usize> = (0..rgb.len())
+                .filter(|&i| issues[i].is_some() == quarantined)
+                .collect();
+            if group.is_empty() {
+                continue;
+            }
+            let stack = |frames: &[&Tensor]| {
+                Tensor::stack_refs(&group.iter().map(|&i| frames[i]).collect::<Vec<_>>())
+            };
+            let probs = if quarantined {
+                self.camera_only.run_batch(&stack(rgb)?, None)?
             } else {
-                fused.push(i);
-            }
-        }
-        if !fused.is_empty() {
-            let rgb_batch = Tensor::stack_refs(&fused.iter().map(|&i| rgb[i]).collect::<Vec<_>>())?;
-            let depth_batch =
-                Tensor::stack_refs(&fused.iter().map(|&i| depth[i]).collect::<Vec<_>>())?;
-            let probs = self.fused.run_batch(&rgb_batch, Some(&depth_batch))?;
+                self.fused.run_batch(&stack(rgb)?, Some(&stack(depth)?))?
+            };
             let (h, w) = (probs.shape()[2], probs.shape()[3]);
-            for (k, &i) in fused.iter().enumerate() {
-                slots[i] = Some(Prediction {
-                    prob: probs.index_axis0(k).reshape(&[h, w])?,
-                    quarantined: None,
-                });
-            }
-        }
-        if !camera_only.is_empty() {
-            let rgb_batch =
-                Tensor::stack_refs(&camera_only.iter().map(|&i| rgb[i]).collect::<Vec<_>>())?;
-            let probs = self.camera_only.run_batch(&rgb_batch, None)?;
-            let (h, w) = (probs.shape()[2], probs.shape()[3]);
-            for (k, &i) in camera_only.iter().enumerate() {
+            for (k, &i) in group.iter().enumerate() {
                 slots[i] = Some(Prediction {
                     prob: probs.index_axis0(k).reshape(&[h, w])?,
                     quarantined: issues[i],
@@ -352,34 +360,6 @@ mod tests {
                 let reference = graph_probs(&mut net, &rgb, None);
                 let got = camera.run_batch(&rgb, None).expect("camera-only plan");
                 assert_eq!(got.data(), reference.data(), "{scheme} camera-only n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn plan_reservation_bounds_high_water() {
-        let config = NetworkConfig::tiny();
-        let net = warmed_net(FusionScheme::WeightedSharing, &config, 7);
-        let mut rng = TensorRng::seed_from(8);
-        for mode in [PlanMode::Fused, PlanMode::CameraOnly] {
-            let mut plan = CompiledPlan::compile(&net, mode);
-            assert!(plan.peak_live_per_image() <= plan.reservation_per_image());
-            for n in [1usize, 2] {
-                let rgb = rng.uniform(&[n, 3, config.height, config.width], 0.0, 1.0);
-                let depth = rng.uniform(
-                    &[n, config.depth_channels, config.height, config.width],
-                    0.0,
-                    1.0,
-                );
-                let d = (mode == PlanMode::Fused).then_some(&depth);
-                plan.run_batch(&rgb, d).expect("plan runs");
-                assert!(
-                    plan.last_high_water_elems() <= plan.reservation_elems(n),
-                    "{mode} n={n}: high water {} > reservation {}",
-                    plan.last_high_water_elems(),
-                    plan.reservation_elems(n)
-                );
-                assert_eq!(plan.last_high_water_elems(), n * plan.peak_live_per_image());
             }
         }
     }
@@ -473,6 +453,147 @@ mod tests {
             assert_eq!(slot.quarantined, single.quarantined, "slot {i}");
             assert_eq!(slot.quarantined.is_some(), i == 2, "only slot 2 degrades");
             assert_eq!(slot.prob.data(), single.prob.data(), "slot {i} bits");
+        }
+    }
+
+    /// Every degenerate input shape is a typed error from every entry
+    /// point under every policy — never a panic, and never a misleading
+    /// reshape error (a rank-0 depth used to index out of bounds, a
+    /// `[H, W]` one to read its channel count from the height).
+    #[test]
+    fn degenerate_shapes_are_typed_errors() {
+        let config = NetworkConfig::tiny();
+        let (h, w, dc) = (config.height, config.width, config.depth_channels);
+        let net = warmed_net(FusionScheme::AllFilterU, &config, 33);
+        let good_rgb = Tensor::full(&[3, h, w], 0.5);
+        let good_depth = Tensor::full(&[dc, h, w], 0.5);
+        let bad_shapes: [&[usize]; 9] = [
+            &[],
+            &[h * w],
+            &[h, w],
+            &[1, 3, h, w],
+            &[1, dc, h, w],
+            &[3, h, w + 1],
+            &[3, h / 2, w],
+            &[dc + 5, h, w],
+            &[0, h, w],
+        ];
+        for policy in [
+            DegradationPolicy::Trust,
+            DegradationPolicy::CameraFallback,
+            DegradationPolicy::CameraOnly,
+        ] {
+            let mut p = Predictor::compile(&net).with_policy(policy);
+            p.run(&good_rgb, &good_depth).expect("the good pair runs");
+            for shape in bad_shapes {
+                // All-zero and all-one frames: one triage quarantines, one not.
+                for fill in [0.0, 1.0] {
+                    let bad = Tensor::full(shape, fill);
+                    for (rgb, depth) in [(&bad, &good_depth), (&good_rgb, &bad)] {
+                        let what =
+                            format!("{policy} rgb {:?} depth {:?}", rgb.shape(), depth.shape());
+                        let geometry = |r: Result<(), TensorError>| {
+                            assert!(
+                                matches!(r, Err(TensorError::InvalidGeometry { .. })),
+                                "{what}: {r:?}"
+                            );
+                        };
+                        geometry(p.run(rgb, depth).map(drop));
+                        // In a batch the bad slot fails the call, whichever slot it is.
+                        for (rgbs, depths) in [
+                            ([rgb, &good_rgb], [depth, &good_depth]),
+                            ([&good_rgb, rgb], [&good_depth, depth]),
+                        ] {
+                            geometry(p.run_slots(&rgbs, &depths).map(drop));
+                            let verdicts = [None, Some(HealthIssue::ZeroEnergy)];
+                            geometry(p.run_slots_prejudged(&rgbs, &depths, &verdicts).map(drop));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        a.shape() == b.shape()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// One hostile frame in a batch of 8 — NaN, ±Inf, denormal or all-zero,
+    /// on the RGB or the depth side — never panics, is judged and masked
+    /// exactly as `Predictor::run` judges and masks it alone, and leaves
+    /// the other seven masks bit-identical to their own single runs: f32
+    /// and int8, every policy, the hostile slot first (the caller's first
+    /// image), second (a worker's first), mid-batch and last.
+    #[test]
+    fn a_hostile_frame_stays_in_its_slot() {
+        let config = NetworkConfig::tiny();
+        let (h, w, dc) = (config.height, config.width, config.depth_channels);
+        let net = warmed_net(FusionScheme::WeightedSharing, &config, 101);
+        let profile = calibrated_profile(&net, &config, 102);
+        let mut rng = TensorRng::seed_from(103);
+        let frames: Vec<(Tensor, Tensor)> = (0..8)
+            .map(|_| {
+                (
+                    rng.uniform(&[3, h, w], 0.0, 1.0),
+                    rng.uniform(&[dc, h, w], 0.1, 1.0),
+                )
+            })
+            .collect();
+        let positions = [0usize, 1, 4, 7];
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-42, 0.0];
+        for int8 in [false, true] {
+            for policy in [
+                DegradationPolicy::Trust,
+                DegradationPolicy::CameraFallback,
+                DegradationPolicy::CameraOnly,
+            ] {
+                let compile = || match int8 {
+                    false => Predictor::compile(&net),
+                    true => Predictor::compile_int8(&net, &profile).expect("int8 predictor"),
+                };
+                let mut batched = compile().with_policy(policy);
+                let mut single = compile().with_policy(policy);
+                let alone: Vec<Prediction> = frames
+                    .iter()
+                    .map(|(r, d)| single.run(r, d).expect("a healthy frame runs"))
+                    .collect();
+                for value in hostile {
+                    for on_depth in [false, true] {
+                        let bad = match on_depth {
+                            false => (Tensor::full(&[3, h, w], value), frames[0].1.clone()),
+                            true => (frames[0].0.clone(), Tensor::full(&[dc, h, w], value)),
+                        };
+                        let bad_alone = single.run(&bad.0, &bad.1).expect("no panic, no error");
+                        if on_depth && policy == DegradationPolicy::CameraFallback {
+                            let want = match value {
+                                v if !v.is_finite() => Some(HealthIssue::NonFinite),
+                                v if v.abs() < 1e-30 => Some(HealthIssue::ZeroEnergy),
+                                _ => None,
+                            };
+                            assert_eq!(bad_alone.quarantined, want, "depth of {value}");
+                        }
+                        for at in positions {
+                            let what = format!(
+                                "int8={int8} {policy} {value} on {} at slot {at}",
+                                if on_depth { "depth" } else { "rgb" }
+                            );
+                            let slot = |i: usize| if i == at { &bad } else { &frames[i] };
+                            let rgb: Vec<&Tensor> = (0..8).map(|i| &slot(i).0).collect();
+                            let depth: Vec<&Tensor> = (0..8).map(|i| &slot(i).1).collect();
+                            let got = batched.run_slots(&rgb, &depth).expect(&what);
+                            for (i, got) in got.iter().enumerate() {
+                                let want = if i == at { &bad_alone } else { &alone[i] };
+                                assert_eq!(got.quarantined, want.quarantined, "{what}: slot {i}");
+                                assert!(same_bits(&got.prob, &want.prob), "{what}: slot {i}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -583,34 +704,6 @@ mod tests {
             .plan(PlanMode::Int8CameraOnly)
             .to_string()
             .contains("int8-camera-only"));
-    }
-
-    #[test]
-    fn int8_reservation_bounds_high_water() {
-        let config = NetworkConfig::tiny();
-        let net = warmed_net(FusionScheme::WeightedSharing, &config, 81);
-        let profile = calibrated_profile(&net, &config, 82);
-        let mut rng = TensorRng::seed_from(83);
-        for mode in [PlanMode::Int8, PlanMode::Int8CameraOnly] {
-            let mut plan = CompiledPlan::compile_int8(&net, &profile, mode).expect("int8 plan");
-            assert!(plan.peak_live_per_image() <= plan.reservation_per_image());
-            for n in [1usize, 2] {
-                let rgb = rng.uniform(&[n, 3, config.height, config.width], 0.0, 1.0);
-                let depth = rng.uniform(
-                    &[n, config.depth_channels, config.height, config.width],
-                    0.0,
-                    1.0,
-                );
-                let d = mode.needs_depth().then_some(&depth);
-                plan.run_batch(&rgb, d).expect("plan runs");
-                assert!(
-                    plan.last_high_water_elems() <= plan.reservation_elems(n),
-                    "{mode} n={n}: high water {} > reservation {}",
-                    plan.last_high_water_elems(),
-                    plan.reservation_elems(n)
-                );
-            }
-        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   worker is busy.
 //! - **Spin, then park** — a worker that has just finished a batch, and a
 //!   caller waiting for its batch to settle, poll for at most 50 µs
-//!   before sleeping on the condvar, so back-to-back parallel regions (a
-//!   forward pass) hand over without a futex wake-up each.
+//!   before sleeping on the condvar, so back-to-back parallel regions (the
+//!   training kernels) hand over without a futex wake-up each.
 //!
 //! Thread count resolution: the `SF_THREADS` environment variable if it
 //! parses to a positive integer, otherwise
@@ -69,14 +69,21 @@ struct Batch {
 }
 
 /// How long a thread polls for an event it expects within one parallel
-/// region before it parks on a condvar. A compiled-plan forward pass is
-/// ~31 regions of about 0.1 ms; parked, each region costs two futex
+/// region before it parks on a condvar. Parked, a region costs two futex
 /// wake-ups (worker for the work, submitter for the result) of tens of µs
-/// under a hypervisor and as variable as the host — a quarter of the pass
-/// and most of its run-to-run spread. Measured on the batch-8 int8 plan,
-/// 2 cores: 0/10/25/50/100/200 µs gave 2236/2502/2607/2646/2655/2660
-/// img/s with the spread smallest at 50; an idle worker burns this much
-/// once per pass, then parks.
+/// under a hypervisor and as variable as the host. The training kernels
+/// submit regions back to back, ~0.1 ms each, and that is what the spin
+/// still pays for; a compiled-plan forward pass was ~31 such regions when
+/// this was introduced and is one region now, so the executor no longer
+/// cares. Re-measured after that change (2 cores, 0 / 10 / 50 / 100 /
+/// 200 µs, medians of 8 and 6 fresh processes): benchmark set-up (training
+/// plus calibration) 1.020 / 1.009 / 1.008 / 1.006 / 1.000 s; batch-8 int8
+/// plan 3 088 / 3 067 / 3 078 / 3 100 / 3 107 img/s (flat); saturated
+/// serving 3 266 / 3 286 / 3 269 / – / 3 290 req/s (flat) with its p95
+/// latency spread 0.78 / 0.31 / 0.05 / – / 0.03 ms between processes, and
+/// CPU per request +1.7 % at 50 µs, +3.1 % at 200 µs over not spinning.
+/// 50 µs keeps the set-up time and the tail stable for half the CPU of
+/// 200; an idle worker burns it once per pass, then parks.
 const SPIN: Duration = Duration::from_micros(50);
 
 /// Polls `ready` for at most [`SPIN`]; returns whether it became true.
@@ -307,8 +314,8 @@ impl Drop for Pool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        // The next region of the same forward pass is usually microseconds
-        // away: poll for it before paying for a park and a wake-up.
+        // The next region of a kernel sequence is usually microseconds away:
+        // poll for it before paying for a park and a wake-up.
         spin_until(|| {
             shared.queued.load(Ordering::Relaxed) > 0 || shared.shutdown.load(Ordering::Relaxed)
         });

@@ -64,7 +64,14 @@ for lib in crates/tensor/src/lib.rs crates/core/src/lib.rs; do
         exit 1
     fi
 done
-echo "    ok: no FMA, no target-cpu, no cargo config; sf-tensor and sf-core unsafe blocks must be documented"
+# The plan executor hands the pool its output planes as plain `&mut`
+# chunks and checks lanes out through a lock each; it needs no unsafe
+# and must not grow any back.
+if grep -rnw 'unsafe' crates/core/src/plan/; then
+    echo "error: unsafe under crates/core/src/plan/ — the executor is safe code" >&2
+    exit 1
+fi
+echo "    ok: no FMA, no target-cpu, no cargo config; sf-tensor and sf-core unsafe blocks must be documented; no unsafe in the plan executor"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -84,11 +91,24 @@ echo "==> kernel ISA level of this run (attribute recorded numbers to it)"
 echo "==> fault-matrix smoke (sensor fault injection + graceful degradation)"
 cargo test -q -p sf-bench --test experiments_smoke fault_matrix_smoke
 
-echo "==> plan check (compiled plan vs graph path, bitwise)"
-# Compiles every fusion scheme's plan on the tiny network and diffs its
-# outputs against the unfused graph forward; exits non-zero on any
-# nonzero delta or a scratch high-water mark above the reservation.
-./target/release/roadseg plan --check --smoke
+echo "==> plan check (compiled plan vs graph path, bitwise, on 1, 2 and 4 threads)"
+# Compiles every fusion scheme's plan on the tiny and the standard
+# network and diffs its outputs against the unfused graph forward at
+# batch sizes 1, 3 and 9 (the caller alone, an odd batch, more images
+# than lanes); exits non-zero on any nonzero delta or arenas that hold
+# anything but one static reservation per lane. Then the executor's own
+# properties — batch-shape invariance, hostile-frame isolation, the
+# degenerate-shape table, no reallocation, one pool region per pass —
+# under the same thread counts.
+for threads in 1 2 4; do
+    SF_THREADS=$threads ./target/release/roadseg plan --check --smoke
+    SF_THREADS=$threads ./target/release/roadseg plan --check
+    SF_THREADS=$threads cargo test -q -p sf-core plan:: > /dev/null 2>&1 &&
+        SF_THREADS=$threads cargo test -q -p sf-core --test one_region > /dev/null 2>&1 || {
+        echo "error: sf-core plan tests failed (SF_THREADS=$threads)" >&2
+        exit 1
+    }
+done
 
 echo "==> chaos smoke on 1 replica (seeded fault schedule, conservation + reproducibility)"
 # Runs the smoke schedule twice through the sf-chaos engine against a

@@ -216,8 +216,8 @@ fn compiled_plan_matches_graph_and_bounds_scratch_for_random_configs() {
             g.value(prob).clone()
         };
 
-        // Both plan modes: bit-identical outputs, and the static scratch
-        // reservation must bound the measured live high-water mark.
+        // Both plan modes: bit-identical outputs, on arenas that hold
+        // exactly one static reservation per lane.
         for mode in [PlanMode::Fused, PlanMode::CameraOnly] {
             let mut plan = CompiledPlan::compile(&net, mode);
             let with_depth = (mode == PlanMode::Fused).then_some(&depth);
@@ -229,12 +229,11 @@ fn compiled_plan_matches_graph_and_bounds_scratch_for_random_configs() {
                 "case {}: {scheme} {mode} n={n} diverges from the graph path",
                 c.case
             );
-            assert!(
-                plan.last_high_water_elems() <= plan.reservation_elems(n),
-                "case {}: {scheme} {mode} n={n}: high water {} > reservation {}",
-                c.case,
-                plan.last_high_water_elems(),
-                plan.reservation_elems(n)
+            assert_eq!(
+                plan.arena_elems(),
+                plan.reservation_elems(n),
+                "case {}: {scheme} {mode} n={n}: arenas off the static reservation",
+                c.case
             );
         }
 
