@@ -150,9 +150,13 @@ impl Predictor {
     ///
     /// Returns [`TensorError::InvalidGeometry`] if either input's shape is
     /// not the compiled geometry — under every policy, including the ones
-    /// that would not have read the depth frame.
+    /// that would not have read the depth frame — and
+    /// [`TensorError::NonFinite`] if `rgb` holds a NaN or an infinity: a
+    /// bad depth frame has the camera-only plan to fall back to, a bad
+    /// camera frame has nothing, and would come out as a NaN mask.
     pub fn run(&mut self, rgb: &Tensor, depth: &Tensor) -> Result<Prediction, TensorError> {
         self.check_frame("Predictor::run", rgb, depth)?;
+        check_rgb_finite("Predictor::run", rgb)?;
         let issue = self.policy.quarantine_depth(depth, &self.thresholds);
         let (c, h, w) = self.fused.rgb_shape();
         let rgb_b = rgb.reshape(&[1, c, h, w])?;
@@ -203,8 +207,9 @@ impl Predictor {
     ///
     /// # Errors
     ///
-    /// Returns an error if the slice lengths differ or slot shapes
-    /// disagree with the compiled geometry.
+    /// Returns an error if the slice lengths differ, slot shapes disagree
+    /// with the compiled geometry, or any slot's `rgb` holds a NaN or an
+    /// infinity ([`TensorError::NonFinite`], as in [`run`](Predictor::run)).
     pub fn run_slots(
         &mut self,
         rgb: &[&Tensor],
@@ -215,6 +220,9 @@ impl Predictor {
                 op: "Predictor::run_slots",
                 reason: format!("{} rgb slots vs {} depth slots", rgb.len(), depth.len()),
             });
+        }
+        for frame in rgb {
+            check_rgb_finite("Predictor::run_slots", frame)?;
         }
         let issues: Vec<Option<HealthIssue>> = depth
             .iter()
@@ -228,7 +236,9 @@ impl Predictor {
     /// through the camera-only plan). This is the entry point for callers
     /// that layer extra routing on top of the per-input policy — the
     /// serving circuit breaker decides some slots fleet-wide and hands
-    /// the merged verdicts down here.
+    /// the merged verdicts down here. The camera frames count as judged
+    /// too: this entry point does not screen them for non-finite values
+    /// (the server does that once, when a request is submitted).
     ///
     /// # Errors
     ///
@@ -284,6 +294,14 @@ impl Predictor {
             .map(|s| s.expect("every slot lands in exactly one group"))
             .collect())
     }
+}
+
+/// Refuses a camera frame that holds a NaN or an infinity.
+fn check_rgb_finite(op: &'static str, rgb: &Tensor) -> Result<(), TensorError> {
+    if rgb.has_non_finite() {
+        return Err(TensorError::NonFinite { op, input: "rgb" });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -527,7 +545,11 @@ mod tests {
     /// exactly as `Predictor::run` judges and masks it alone, and leaves
     /// the other seven masks bit-identical to their own single runs: f32
     /// and int8, every policy, the hostile slot first (the caller's first
-    /// image), second (a worker's first), mid-batch and last.
+    /// image), second (a worker's first), mid-batch and last. A non-finite
+    /// *camera* frame has no plan to fall back to: alone or in any slot it
+    /// is a typed refusal. And no mask that does come out holds a NaN or
+    /// an infinity — except under `Trust`, which is the caller's word that
+    /// the depth frame needs no screening.
     #[test]
     fn a_hostile_frame_stays_in_its_slot() {
         let config = NetworkConfig::tiny();
@@ -567,6 +589,25 @@ mod tests {
                             false => (Tensor::full(&[3, h, w], value), frames[0].1.clone()),
                             true => (frames[0].0.clone(), Tensor::full(&[dc, h, w], value)),
                         };
+                        let slots = |at: usize| -> (Vec<&Tensor>, Vec<&Tensor>) {
+                            let slot = |i: usize| if i == at { &bad } else { &frames[i] };
+                            (0..8).map(|i| (&slot(i).0, &slot(i).1)).unzip()
+                        };
+                        if !on_depth && !value.is_finite() {
+                            let refused = |r: Result<(), TensorError>, what: &str| {
+                                assert!(
+                                    matches!(r, Err(TensorError::NonFinite { input: "rgb", .. })),
+                                    "{what}: {r:?}"
+                                );
+                            };
+                            let what = format!("int8={int8} {policy} rgb of {value}");
+                            refused(single.run(&bad.0, &bad.1).map(drop), &what);
+                            for at in positions {
+                                let (rgb, depth) = slots(at);
+                                refused(batched.run_slots(&rgb, &depth).map(drop), &what);
+                            }
+                            continue;
+                        }
                         let bad_alone = single.run(&bad.0, &bad.1).expect("no panic, no error");
                         if on_depth && policy == DegradationPolicy::CameraFallback {
                             let want = match value {
@@ -576,19 +617,22 @@ mod tests {
                             };
                             assert_eq!(bad_alone.quarantined, want, "depth of {value}");
                         }
+                        let trusted = on_depth && policy == DegradationPolicy::Trust;
                         for at in positions {
                             let what = format!(
                                 "int8={int8} {policy} {value} on {} at slot {at}",
                                 if on_depth { "depth" } else { "rgb" }
                             );
-                            let slot = |i: usize| if i == at { &bad } else { &frames[i] };
-                            let rgb: Vec<&Tensor> = (0..8).map(|i| &slot(i).0).collect();
-                            let depth: Vec<&Tensor> = (0..8).map(|i| &slot(i).1).collect();
+                            let (rgb, depth) = slots(at);
                             let got = batched.run_slots(&rgb, &depth).expect(&what);
                             for (i, got) in got.iter().enumerate() {
                                 let want = if i == at { &bad_alone } else { &alone[i] };
                                 assert_eq!(got.quarantined, want.quarantined, "{what}: slot {i}");
                                 assert!(same_bits(&got.prob, &want.prob), "{what}: slot {i}");
+                                assert!(
+                                    (trusted && i == at) || !got.prob.has_non_finite(),
+                                    "{what}: slot {i} is served a non-finite mask"
+                                );
                             }
                         }
                     }

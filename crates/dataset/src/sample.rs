@@ -1,8 +1,8 @@
 //! One dataset sample: an aligned RGB / depth / ground-truth triple.
 
 use sf_scene::{
-    depth_image_from_cloud, render_ground_truth, render_rgb_with, surface_normals_from_depth,
-    LidarSpec, Lighting, PinholeCamera, PointCloud, Rig, RoadCategory, SceneBuilder, Weather,
+    depth_image_from_cloud, render_view, surface_normals_from_depth, LidarSpec, Lighting,
+    PinholeCamera, PointCloud, Rig, RoadCategory, SceneBuilder, Weather,
 };
 use sf_tensor::{Tensor, TensorRng};
 use sf_vision::GrayImage;
@@ -126,8 +126,7 @@ impl Sample {
         let scene = SceneBuilder::new(category, seed)
             .traffic(options.traffic)
             .build();
-        let rgb = render_rgb_with(&scene, camera, lighting, options.weather);
-        let gt = render_ground_truth(&scene, camera);
+        let (rgb, gt) = render_view(&scene, camera, lighting, options.weather);
         let lidar_seed = seed ^ 0x11DA_5EED;
         let (cloud, max_range) = if options.rig_size <= 1 {
             // The classic single-sensor path: same spec, same RNG stream

@@ -49,7 +49,7 @@ pub use lidar::{depth_image_from_cloud, LidarSpec, PointCloud};
 pub use lighting::Lighting;
 pub use normals::surface_normals_from_depth;
 pub use occluder::{Occluder, OCCLUDER_Z_MAX, OCCLUDER_Z_MIN};
-pub use render::{overlay_mask, render_ground_truth, render_rgb, render_rgb_with};
+pub use render::{overlay_mask, render_ground_truth, render_rgb, render_rgb_with, render_view};
 pub use rig::{Rig, RigMount};
 pub use scene::{Obstacle, RoadCategory, Scene, SceneBuilder, Surface};
 pub use weather::{ParseWeatherError, Weather, WeatherKind};

@@ -122,16 +122,23 @@ impl LidarSpec {
     pub fn scan_with(&self, scene: &Scene, weather: Weather, rng: &mut TensorRng) -> PointCloud {
         let origin = Vec3::new(self.mount_lateral, self.mount_height, self.mount_forward);
         let clear = weather.is_clear();
+        // The pattern's trigonometry, once per scan instead of once per ray.
+        let azimuths: Vec<(f32, f32)> = (0..self.azimuth_steps)
+            .map(|step| {
+                let azim = -self.azimuth_half_fov
+                    + 2.0 * self.azimuth_half_fov * step as f32
+                        / (self.azimuth_steps.max(2) - 1) as f32;
+                azim.sin_cos()
+            })
+            .collect();
         let mut cloud = PointCloud::new();
         for ring in 0..self.rings {
             let elev = self.elevation_min
                 + (self.elevation_max - self.elevation_min) * ring as f32
                     / (self.rings.max(2) - 1) as f32;
-            for step in 0..self.azimuth_steps {
-                let azim = -self.azimuth_half_fov
-                    + 2.0 * self.azimuth_half_fov * step as f32
-                        / (self.azimuth_steps.max(2) - 1) as f32;
-                let dir = Vec3::new(azim.sin() * elev.cos(), elev.sin(), azim.cos() * elev.cos());
+            let (sin_elev, cos_elev) = elev.sin_cos();
+            for &(sin_azim, cos_azim) in &azimuths {
+                let dir = Vec3::new(sin_azim * cos_elev, sin_elev, cos_azim * cos_elev);
                 let ray = Ray::new(origin, dir);
                 let hit = scene.hit(&ray);
                 if hit.surface == Surface::Sky || hit.t > self.max_range {
@@ -385,6 +392,90 @@ mod tests {
         let a = spec.scan_with(&scene, Weather::rain(0.7), &mut TensorRng::seed_from(9));
         let b = spec.scan_with(&scene, Weather::rain(0.7), &mut TensorRng::seed_from(9));
         assert_eq!(a, b);
+    }
+
+    /// The scan as first written — the trigonometry of every ray computed
+    /// at that ray — kept as the reference for the hoisted loop.
+    fn scan_per_ray_reference(
+        spec: &LidarSpec,
+        scene: &Scene,
+        weather: Weather,
+        rng: &mut TensorRng,
+    ) -> PointCloud {
+        let origin = Vec3::new(spec.mount_lateral, spec.mount_height, spec.mount_forward);
+        let mut cloud = PointCloud::new();
+        for ring in 0..spec.rings {
+            let elev = spec.elevation_min
+                + (spec.elevation_max - spec.elevation_min) * ring as f32
+                    / (spec.rings.max(2) - 1) as f32;
+            for step in 0..spec.azimuth_steps {
+                let azim = -spec.azimuth_half_fov
+                    + 2.0 * spec.azimuth_half_fov * step as f32
+                        / (spec.azimuth_steps.max(2) - 1) as f32;
+                let dir = Vec3::new(azim.sin() * elev.cos(), elev.sin(), azim.cos() * elev.cos());
+                let ray = Ray::new(origin, dir);
+                let hit = scene.hit(&ray);
+                if hit.surface == Surface::Sky || hit.t > spec.max_range {
+                    continue;
+                }
+                if rng.chance(spec.dropout) {
+                    continue;
+                }
+                let noisy_t = (hit.t + rng.normal_scalar() * spec.range_noise).max(0.1);
+                if weather.is_clear() {
+                    cloud.push(ray.at(noisy_t));
+                    continue;
+                }
+                if rng.chance(weather.lidar_dropout(hit.t)) {
+                    continue;
+                }
+                if rng.chance(weather.ghost_probability()) {
+                    let ghost_t = rng.uniform_scalar(1.0, 8.0).min(noisy_t);
+                    cloud.push(ray.at(ghost_t));
+                    continue;
+                }
+                let jitter = rng.normal_scalar() * weather.range_jitter();
+                cloud.push(ray.at((noisy_t + jitter).max(0.1)));
+            }
+        }
+        cloud
+    }
+
+    #[test]
+    fn scan_equals_the_per_ray_reference_returns_and_rng_draws() {
+        let scene = test_scene();
+        let weathers = [
+            Weather::clear(),
+            Weather::rain(0.6),
+            Weather::fog(0.5),
+            Weather::snow(0.8),
+        ];
+        for mount in crate::Rig::triple().mounts() {
+            for weather in weathers {
+                let (mut rng, mut reference_rng) =
+                    (TensorRng::seed_from(12), TensorRng::seed_from(12));
+                let cloud = mount.spec.scan_with(&scene, weather, &mut rng);
+                let reference =
+                    scan_per_ray_reference(&mount.spec, &scene, weather, &mut reference_rng);
+                let bits = |cloud: &PointCloud| -> Vec<[u32; 3]> {
+                    let point = |p: &Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+                    cloud.points().iter().map(point).collect()
+                };
+                assert_eq!(
+                    bits(&cloud),
+                    bits(&reference),
+                    "{} under {weather}",
+                    mount.name
+                );
+                // Same number of draws: the streams continue in step.
+                assert_eq!(
+                    rng.index(usize::MAX),
+                    reference_rng.index(usize::MAX),
+                    "{} under {weather}",
+                    mount.name
+                );
+            }
+        }
     }
 
     #[test]

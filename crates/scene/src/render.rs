@@ -87,11 +87,25 @@ pub fn render_rgb_with(
     lighting: Lighting,
     weather: Weather,
 ) -> RgbImage {
+    render_view(scene, camera, lighting, weather).0
+}
+
+/// Renders the RGB image of [`render_rgb_with`] and the ground truth of
+/// [`render_ground_truth`] from one ray cast per pixel: both are
+/// functions of the same [`Scene::hit`], which is most of their cost.
+pub fn render_view(
+    scene: &Scene,
+    camera: &PinholeCamera,
+    lighting: Lighting,
+    weather: Weather,
+) -> (RgbImage, GrayImage) {
     let (w, h) = (camera.width(), camera.height());
     let clear = weather.is_clear();
-    RgbImage::from_fn(w, h, |u, v| {
+    let mut gt = GrayImage::new(w, h);
+    let rgb = RgbImage::from_fn(w, h, |u, v| {
         let ray = camera.pixel_ray(u, v);
         let hit = scene.hit(&ray);
+        gt.set(u, v, if hit.surface.is_drivable() { 1.0 } else { 0.0 });
         if hit.surface == Surface::Sky {
             let sky = surface_tint(Surface::Sky);
             let level = (lighting.ambient + 0.4 * lighting.sun_intensity).min(1.0);
@@ -136,7 +150,8 @@ pub fn render_rgb_with(
             return pixel;
         }
         weather_pixel(weather, pixel, hit.t, u, v)
-    })
+    });
+    (rgb, gt)
 }
 
 /// Renders the pixel-exact drivable-road ground truth (1.0 = road).

@@ -97,12 +97,17 @@ impl Weather {
         Weather::new(WeatherKind::Snow, severity)
     }
 
-    /// A kind at `severity` (clamped to `[0, 1]`).
+    /// A kind at `severity` (clamped to `[0, 1]`). A non-finite severity
+    /// is no measurement of anything and becomes 0 — clear weather —
+    /// rather than a NaN that `clamp` would pass into every pixel and
+    /// every dropout probability.
     pub fn new(kind: WeatherKind, severity: f32) -> Self {
-        Weather {
-            kind,
-            severity: severity.clamp(0.0, 1.0),
-        }
+        let severity = if severity.is_finite() {
+            severity.clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        Weather { kind, severity }
     }
 
     /// True when no weather effect is applied (clear kind or severity 0).
@@ -292,6 +297,34 @@ mod tests {
     fn severity_is_clamped() {
         assert_eq!(Weather::rain(7.0).severity, 1.0);
         assert_eq!(Weather::rain(-3.0).severity, 0.0);
+    }
+
+    #[test]
+    fn a_non_finite_severity_is_clear_and_renders_finite() {
+        use crate::{
+            depth_image_from_cloud, render_rgb_with, LidarSpec, Lighting, PinholeCamera,
+            RoadCategory, SceneBuilder,
+        };
+        let scene = SceneBuilder::new(RoadCategory::UrbanMarked, 31).build();
+        let camera = PinholeCamera::kitti_like(48, 16);
+        let spec = LidarSpec::default();
+        for kind in [WeatherKind::Rain, WeatherKind::Fog, WeatherKind::Snow] {
+            for severity in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let weather = Weather::new(kind, severity);
+                assert!(weather.is_clear(), "{kind:?} at {severity}");
+                assert_eq!(weather.severity, 0.0);
+                let rgb = render_rgb_with(&scene, &camera, Lighting::day(), weather);
+                assert!(rgb.to_tensor().data().iter().all(|v| v.is_finite()));
+                let mut rng = sf_tensor::TensorRng::seed_from(5);
+                let cloud = spec.scan_with(&scene, weather, &mut rng);
+                assert_eq!(
+                    cloud,
+                    spec.scan(&scene, &mut sf_tensor::TensorRng::seed_from(5))
+                );
+                let depth = depth_image_from_cloud(&cloud, &camera, spec.max_range, 3);
+                assert!(depth.data().iter().all(|v| v.is_finite()));
+            }
+        }
     }
 
     #[test]

@@ -725,8 +725,8 @@ impl Fleet {
     /// - [`ServeError::QueueFull`] when the routed replica sheds the leg
     ///   under [`Backpressure::Reject`](crate::Backpressure::Reject);
     /// - [`ServeError::ShuttingDown`] after [`Fleet::close`];
-    /// - [`ServeError::BadRequest`] for shape mismatches (uncounted, as
-    ///   on [`Server::submit`]).
+    /// - [`ServeError::BadRequest`] for shape mismatches and non-finite
+    ///   camera frames (uncounted, as on [`Server::submit`]).
     pub fn submit(&self, request: Request) -> Result<FleetCompletion, ServeError> {
         loop {
             let (server, index, incarnation, shadow) = {

@@ -208,17 +208,20 @@ impl Server {
     /// # Errors
     ///
     /// - [`ServeError::BadRequest`] if the shapes do not match the served
-    ///   network's resolution;
+    ///   network's resolution, or the camera frame holds a NaN or an
+    ///   infinity — there is no plan that runs without the camera, so the
+    ///   frame is refused here, on the submitting thread, before it can
+    ///   share a batch with anyone;
     /// - [`ServeError::QueueFull`] if the queue is full under
     ///   [`Backpressure::Reject`];
     /// - [`ServeError::ShuttingDown`] if [`Server::shutdown`] has begun
     ///   (including while blocked under [`Backpressure::Block`]).
     pub fn submit(&self, request: Request) -> Result<Completion, ServeError> {
-        self.check_shapes(&request.rgb, &request.depth)?;
+        self.check_request(&request.rgb, &request.depth)?;
         self.submit_inner(request)
     }
 
-    fn check_shapes(&self, rgb: &Tensor, depth: &Tensor) -> Result<(), ServeError> {
+    fn check_request(&self, rgb: &Tensor, depth: &Tensor) -> Result<(), ServeError> {
         if rgb.shape() != self.rgb_shape.as_slice() {
             return Err(ServeError::BadRequest {
                 reason: format!(
@@ -237,10 +240,15 @@ impl Server {
                 ),
             });
         }
+        if rgb.has_non_finite() {
+            return Err(ServeError::BadRequest {
+                reason: "rgb holds a NaN or an infinity".to_string(),
+            });
+        }
         Ok(())
     }
 
-    /// [`Server::submit`] without the shape guard. Exists so tests can
+    /// [`Server::submit`] without the shape and finite-RGB guard. Exists so tests can
     /// force a panic inside a batch's forward pass; everyone else wants
     /// the checked path.
     #[doc(hidden)]

@@ -449,6 +449,19 @@ fn invalid_config_and_bad_shapes_are_rejected_up_front() {
             other.is_ok()
         ),
     }
+    for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let (mut rgb, depth) = frame_pair(&config, 7);
+        rgb.data_mut()[0] = value;
+        match server.submit(Request::new(rgb, depth)) {
+            Err(ServeError::BadRequest { .. }) => {}
+            other => panic!(
+                "rgb with a {value} must be rejected, got {:?}",
+                other.is_ok()
+            ),
+        }
+    }
+    let (_, stats) = server.shutdown();
+    assert_eq!(stats.submitted, 0, "refusals come before admission");
 }
 
 #[test]

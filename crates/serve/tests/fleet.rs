@@ -584,6 +584,72 @@ fn all_dead_fleet_refuses_with_typed_error_and_counts_it() {
 /// graceful fleet shutdown drains every replica, wakes submitters blocked
 /// on full queues, and the final stats conserve even when a replica is
 /// mid-panic while the shutdown runs.
+/// A camera frame with a NaN or an infinity in it is refused where a bad
+/// shape is — `Server::submit`, hence `Fleet::submit`, before admission —
+/// under every policy: it reaches no batch, costs no ledger entry, and the
+/// frames around it are served finite masks.
+#[test]
+fn a_non_finite_camera_frame_is_refused_before_admission_like_a_bad_shape() {
+    for policy in [
+        DegradationPolicy::Trust,
+        DegradationPolicy::CameraFallback,
+        DegradationPolicy::CameraOnly,
+    ] {
+        let (net, config) = tiny_net();
+        let fleet = Fleet::start(
+            net,
+            FleetConfig {
+                replicas: 2,
+                seed: 5,
+                serve: ServeConfig::builder()
+                    .policy(policy)
+                    .build()
+                    .expect("valid serve config"),
+                ..FleetConfig::default()
+            },
+        )
+        .expect("valid fleet config");
+        // The router's own counters (a replica's trail its last fulfil).
+        let ledger = || {
+            let s = fleet.stats();
+            let ends = [s.completed, s.rejected, s.expired, s.failed];
+            (s.submitted, ends, s.redirected, s.no_replica)
+        };
+        let refused = |request: Request, what: &str| {
+            let before = ledger();
+            match fleet.submit(request) {
+                Err(ServeError::BadRequest { .. }) => {}
+                other => panic!("{policy}: {what} must be refused, got {:?}", other.is_ok()),
+            }
+            assert_eq!(ledger(), before, "{policy}: {what} left a mark");
+        };
+        for (i, value) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            let source = i as u64;
+            let served = fleet
+                .submit(request(&config, 40 + source, source))
+                .expect("routed")
+                .wait()
+                .expect("served");
+            assert!(!served.prob.has_non_finite(), "{policy}");
+            let (mut rgb, depth) = frame_pair(&config, 50 + source);
+            let last = rgb.numel() - 1;
+            rgb.data_mut()[last] = value;
+            refused(
+                Request::new(rgb, depth.clone()).with_source(SourceId(source)),
+                &format!("rgb with one {value}"),
+            );
+            let flat = Tensor::ones(&[1, config.height, config.width]);
+            refused(Request::new(flat, depth), "a one-channel rgb");
+        }
+        let (_, stats) = fleet.shutdown();
+        assert_eq!((stats.submitted, stats.completed), (3, 3), "{policy}");
+        stats.cross_check().expect("router and replicas tally");
+    }
+}
+
 #[test]
 fn fleet_shutdown_wakes_blocked_submitters_and_conserves_mid_panic() {
     let (net, config) = tiny_net();

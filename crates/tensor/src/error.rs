@@ -42,6 +42,13 @@ pub enum TensorError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// An input that must be finite holds a NaN or an infinity.
+    NonFinite {
+        /// Name of the operation that refused the input.
+        op: &'static str,
+        /// Which input.
+        input: &'static str,
+    },
     /// An axis index is out of range for the operand's rank.
     AxisOutOfRange {
         /// The offending axis.
@@ -73,6 +80,9 @@ impl fmt::Display for TensorError {
             ),
             TensorError::InvalidGeometry { op, reason } => {
                 write!(f, "{op}: invalid geometry: {reason}")
+            }
+            TensorError::NonFinite { op, input } => {
+                write!(f, "{op}: {input} holds a NaN or an infinity")
             }
             TensorError::AxisOutOfRange { axis, rank } => {
                 write!(f, "axis {axis} out of range for rank {rank}")

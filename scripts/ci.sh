@@ -125,13 +125,24 @@ echo "==> chaos smoke on 2 replicas (replica kill, hot swap, shadow deploy)"
 # work onto the victim, so the kill really redirects.
 ./target/release/roadseg chaos --smoke --replicas 2 --seed 7
 
-echo "==> soak smoke (weather fronts + multi-LiDAR rig + fault bursts, long-haul)"
+echo "==> soak smoke (weather fronts + multi-LiDAR rig + fault bursts, long-haul) on 1, 2 and 4 threads"
 # The engine on rig traffic: the CI-sized 240-frame scenario twice against
 # a 3-replica fleet; exits non-zero unless every window conserves the
 # fleet ledger, the scratch-arena peak plateaus, the burst source's
 # breaker trips and re-closes, and the two runs' fingerprints are
-# identical.
-./target/release/roadseg soak --smoke
+# identical. A rig frame is a parallel region (one job per mount plus the
+# camera view), so the plateau and the fingerprints must hold on every
+# pool size, and so must the renderer's own properties: the obstacle
+# reject against the every-obstacle reference, a frame against the serial
+# composition of its parts, the caller's arena staying flat, a nested
+# render.
+for threads in 1 2 4; do
+    SF_THREADS=$threads ./target/release/roadseg soak --smoke
+    SF_THREADS=$threads cargo test -q -p sf-scene -p sf-dataset > /dev/null 2>&1 || {
+        echo "error: sf-scene/sf-dataset tests failed (SF_THREADS=$threads)" >&2
+        exit 1
+    }
+done
 
 echo "==> load-generator smoke on 1 replica (dynamic batching server end-to-end)"
 # Tiny net, 4 clients x 6 requests through a fleet of one; --smoke exits
